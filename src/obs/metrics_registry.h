@@ -20,6 +20,14 @@
 
 namespace octopus::obs {
 
+/// /metrics rendering of a stats-table counter (the `/metrics unit`
+/// column of the field tables, see common/stats_fields.h).
+enum class CounterUnit {
+  kNone,   ///< not exported
+  kCount,  ///< plain counter
+  kNanos,  ///< nanosecond total, exported as a `_seconds_total` counter
+};
+
 /// \brief Append-only collection of typed metrics rendering to
 /// Prometheus text exposition. Metric names must match
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` (validated by tools/check_metrics.py in
@@ -34,6 +42,17 @@ class MetricsRegistry {
   /// convention the name ends in `_seconds_total`.
   void AddCounterSeconds(const std::string& name, const std::string& help,
                          double seconds);
+
+  /// A stats-table counter rendered by its `unit` (nothing for kNone).
+  template <typename T>
+  void AddTableCounter(CounterUnit unit, const std::string& name,
+                       const std::string& help, T value) {
+    if (unit == CounterUnit::kCount) {
+      AddCounter(name, help, static_cast<uint64_t>(value));
+    } else if (unit == CounterUnit::kNanos) {
+      AddCounterSeconds(name, help, static_cast<double>(value) * 1e-9);
+    }
+  }
 
   /// Point-in-time value.
   void AddGauge(const std::string& name, const std::string& help,

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_fields.h"
 #include "common/thread_annotations.h"
 
 #ifndef OCTOPUS_TRACING_ENABLED
@@ -37,30 +38,37 @@
 
 namespace octopus::obs {
 
+/// The trace-record fields, one line each, in TRACE_DUMP wire order:
+///   X(type, name, help)
+// clang-format off
+#define OCTOPUS_TRACE_RECORD_FIELDS(X) \
+  X(uint64_t, trace_id, "monotone 1-based sequence number") \
+  X(uint64_t, session_id, "session the request arrived on") \
+  X(uint64_t, request_id, "client-chosen request id") \
+  X(uint64_t, epoch, "epoch the batch executed against") \
+  X(uint32_t, epoch_step, "simulation step of that epoch") \
+  X(uint32_t, queries, "queries in THIS request") \
+  X(uint32_t, batch_queries, "queries in the coalesced batch") \
+  X(uint32_t, batch_requests, "requests coalesced into the batch") \
+  X(int64_t, arrival_nanos, "request frame fully parsed") \
+  X(int64_t, queue_wait_nanos, "arrival -> batch dispatch") \
+  X(int64_t, probe_nanos, "surface-probe phase (batch)") \
+  X(int64_t, walk_nanos, "directed-walk phase (batch)") \
+  X(int64_t, crawl_nanos, "crawl phase (batch)") \
+  X(int64_t, merge_nanos, "batch-end stats/context merge") \
+  X(int64_t, serialize_nanos, "RESULT frame encoding") \
+  X(int64_t, total_nanos, "arrival -> response enqueued") \
+  X(uint64_t, page_accesses, "priced page accesses (batch)") \
+  X(uint64_t, lease_hits, "free re-reads via held leases") \
+  X(uint64_t, result_vertices, "vertices returned to THIS request")
+// clang-format on
+
 /// \brief One executed request's timing breakdown. All nanosecond
 /// fields are on the server's monotonic clock; phase nanos are summed
 /// over the coalesced batch the request rode in (the engine executes
 /// whole batches — see `BatchStatsWire` for the shared-cost caveat).
 struct QueryTraceRecord {
-  uint64_t trace_id = 0;    ///< monotone 1-based sequence number
-  uint64_t session_id = 0;
-  uint64_t request_id = 0;
-  uint64_t epoch = 0;       ///< epoch the batch executed against
-  uint32_t epoch_step = 0;  ///< simulation step of that epoch
-  uint32_t queries = 0;     ///< queries in THIS request
-  uint32_t batch_queries = 0;   ///< queries in the coalesced batch
-  uint32_t batch_requests = 0;  ///< requests coalesced into the batch
-  int64_t arrival_nanos = 0;    ///< request frame fully parsed
-  int64_t queue_wait_nanos = 0;  ///< arrival -> batch dispatch
-  int64_t probe_nanos = 0;       ///< surface-probe phase (batch)
-  int64_t walk_nanos = 0;        ///< directed-walk phase (batch)
-  int64_t crawl_nanos = 0;       ///< crawl phase (batch)
-  int64_t merge_nanos = 0;       ///< batch-end stats/context merge
-  int64_t serialize_nanos = 0;   ///< RESULT frame encoding
-  int64_t total_nanos = 0;       ///< arrival -> response enqueued
-  uint64_t page_accesses = 0;    ///< priced page accesses (batch)
-  uint64_t lease_hits = 0;       ///< free re-reads via held leases
-  uint64_t result_vertices = 0;  ///< vertices returned to THIS request
+  OCTOPUS_TRACE_RECORD_FIELDS(OCTOPUS_STATS_DECLARE)
 
   friend bool operator==(const QueryTraceRecord&,
                          const QueryTraceRecord&) = default;

@@ -5,6 +5,30 @@
 #include <cmath>
 
 namespace octopus::server {
+namespace {
+
+/// CAS-max: lossless under concurrent writers.
+void AtomicMax(std::atomic<uint64_t>* target, uint64_t value) {
+  uint64_t seen = target->load(std::memory_order_relaxed);
+  while (value > seen &&
+         !target->compare_exchange_weak(seen, value,
+                                        std::memory_order_relaxed)) {
+  }
+}
+
+/// Saturating add: one u64-max sample must not wrap the total.
+void AtomicSaturatingAdd(std::atomic<uint64_t>* target, uint64_t value) {
+  uint64_t sum = target->load(std::memory_order_relaxed);
+  for (;;) {
+    const uint64_t next = sum + value < sum ? ~uint64_t{0} : sum + value;
+    if (target->compare_exchange_weak(sum, next,
+                                      std::memory_order_relaxed)) {
+      break;
+    }
+  }
+}
+
+}  // namespace
 
 int LatencyHistogram::BucketIndex(uint64_t nanos) {
   if (nanos < kSubBuckets) return static_cast<int>(nanos);
@@ -34,21 +58,8 @@ std::vector<uint64_t> LatencyHistogram::BucketUpperBounds() {
 
 void LatencyHistogram::Record(uint64_t nanos) {
   buckets_[BucketIndex(nanos)].fetch_add(1, std::memory_order_relaxed);
-  // CAS-max: lossless under concurrent writers.
-  uint64_t seen = max_nanos_.load(std::memory_order_relaxed);
-  while (nanos > seen &&
-         !max_nanos_.compare_exchange_weak(seen, nanos,
-                                           std::memory_order_relaxed)) {
-  }
-  // Saturating sum: one u64-max sample must not wrap the total.
-  uint64_t sum = sum_nanos_.load(std::memory_order_relaxed);
-  for (;;) {
-    const uint64_t next = sum + nanos < sum ? ~uint64_t{0} : sum + nanos;
-    if (sum_nanos_.compare_exchange_weak(sum, next,
-                                         std::memory_order_relaxed)) {
-      break;
-    }
-  }
+  AtomicMax(&max_nanos_, nanos);
+  AtomicSaturatingAdd(&sum_nanos_, nanos);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
@@ -56,21 +67,8 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
     const uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
     if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
   }
-  uint64_t seen = max_nanos_.load(std::memory_order_relaxed);
-  const uint64_t other_max = other.max_nanos();
-  while (other_max > seen &&
-         !max_nanos_.compare_exchange_weak(seen, other_max,
-                                           std::memory_order_relaxed)) {
-  }
-  uint64_t sum = sum_nanos_.load(std::memory_order_relaxed);
-  const uint64_t add = other.sum_nanos();
-  for (;;) {
-    const uint64_t next = sum + add < sum ? ~uint64_t{0} : sum + add;
-    if (sum_nanos_.compare_exchange_weak(sum, next,
-                                         std::memory_order_relaxed)) {
-      break;
-    }
-  }
+  AtomicMax(&max_nanos_, other.max_nanos());
+  AtomicSaturatingAdd(&sum_nanos_, other.sum_nanos());
 }
 
 uint64_t LatencyHistogram::count() const {
@@ -127,39 +125,11 @@ uint64_t LatencyHistogram::PercentileNanos(double p) const {
 }
 
 void ServerMetrics::CopyFrom(const ServerMetrics& other) {
-  connections_accepted.store(
-      other.connections_accepted.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  connections_closed.store(
-      other.connections_closed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  frames_received.store(
-      other.frames_received.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  malformed_frames.store(
-      other.malformed_frames.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queries_received.store(
-      other.queries_received.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queries_rejected.store(
-      other.queries_rejected.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queries_executed.store(
-      other.queries_executed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  batches_executed.store(
-      other.batches_executed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  results_sent.store(other.results_sent.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  errors_sent.store(other.errors_sent.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  slow_queries.store(other.slow_queries.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  serialize_nanos_total.store(
-      other.serialize_nanos_total.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+#define OCTOPUS_COPY_COUNTER(type, name, ...)                 \
+  name.store(other.name.load(std::memory_order_relaxed), \
+             std::memory_order_relaxed);
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_COPY_COUNTER, OCTOPUS_STATS_SKIP,
+                          OCTOPUS_COPY_COUNTER)
   request_latency = other.request_latency;
   loop_stall = other.loop_stall;
   const PhaseStats engine = other.EngineTotal();
@@ -169,25 +139,17 @@ void ServerMetrics::CopyFrom(const ServerMetrics& other) {
 
 ServerStatsWire ServerMetrics::ToWire() const {
   ServerStatsWire w;
-  w.connections_accepted =
-      connections_accepted.load(std::memory_order_relaxed);
+#define OCTOPUS_COUNTER_TO_WIRE(type, name, ...) \
+  w.name = this->name.load(std::memory_order_relaxed);
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_COUNTER_TO_WIRE, OCTOPUS_STATS_SKIP,
+                          OCTOPUS_STATS_SKIP)
+  const PhaseStats engine = EngineTotal();
+#define OCTOPUS_PAGE_IO_TO_WIRE(type, name, ...) w.name = engine.page_io.name;
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_PAGE_IO_TO_WIRE, OCTOPUS_STATS_SKIP)
   w.connections_active = connections_active();
-  w.frames_received = frames_received.load(std::memory_order_relaxed);
-  w.malformed_frames = malformed_frames.load(std::memory_order_relaxed);
-  w.queries_received = queries_received.load(std::memory_order_relaxed);
-  w.queries_rejected = queries_rejected.load(std::memory_order_relaxed);
-  w.queries_executed = queries_executed.load(std::memory_order_relaxed);
-  w.batches_executed = batches_executed.load(std::memory_order_relaxed);
   w.latency_p50_nanos = request_latency.PercentileNanos(0.50);
   w.latency_p95_nanos = request_latency.PercentileNanos(0.95);
   w.latency_p99_nanos = request_latency.PercentileNanos(0.99);
-  const PhaseStats engine = EngineTotal();
-  w.page_hits = engine.page_io.page_hits;
-  w.page_misses = engine.page_io.page_misses;
-  w.page_evictions = engine.page_io.page_evictions;
-  w.lease_hits = engine.page_io.lease_hits;
-  w.pages_leased = engine.page_io.pages_leased;
-  w.pages_distinct = engine.page_io.pages_distinct;
   return w;
 }
 

@@ -95,21 +95,11 @@ class LatencyHistogram {
 /// takes a relaxed-load snapshot (what `QueryServer::MetricsSnapshot`
 /// hands to benches).
 struct ServerMetrics {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_closed{0};
-  std::atomic<uint64_t> frames_received{0};
-  std::atomic<uint64_t> malformed_frames{0};
-  std::atomic<uint64_t> queries_received{0};
-  std::atomic<uint64_t> queries_rejected{0};
-  std::atomic<uint64_t> queries_executed{0};
-  std::atomic<uint64_t> batches_executed{0};
-  std::atomic<uint64_t> results_sent{0};
-  std::atomic<uint64_t> errors_sent{0};
-  /// Requests whose end-to-end time crossed the slow-query threshold
-  /// (0 when the threshold is disabled).
-  std::atomic<uint64_t> slow_queries{0};
-  /// Total wall clock spent encoding RESULT frames.
-  std::atomic<int64_t> serialize_nanos_total{0};
+  /// The STATS and LOCAL lines of `OCTOPUS_SERVER_COUNTERS`.
+#define OCTOPUS_ATOMIC_DECLARE(type, name, ...) std::atomic<type> name = 0;
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_ATOMIC_DECLARE, OCTOPUS_STATS_SKIP,
+                          OCTOPUS_ATOMIC_DECLARE)
+#undef OCTOPUS_ATOMIC_DECLARE
   /// Request arrival (frame fully parsed) to response enqueue; recorded
   /// by the serialization thread (and I/O threads for inline replies).
   LatencyHistogram request_latency;
@@ -154,15 +144,7 @@ struct ServerMetrics {
         connections_closed.load(std::memory_order_relaxed);
     return closed > accepted ? 0 : accepted - closed;
   }
-  double CoalesceFactor() const {
-    const uint64_t batches =
-        batches_executed.load(std::memory_order_relaxed);
-    return batches == 0
-               ? 0.0
-               : static_cast<double>(
-                     queries_executed.load(std::memory_order_relaxed)) /
-                     static_cast<double>(batches);
-  }
+  double CoalesceFactor() const { return ToWire().CoalesceFactor(); }
 
   ServerStatsWire ToWire() const;
 

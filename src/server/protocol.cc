@@ -3,77 +3,45 @@
 
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 namespace octopus::server {
 namespace {
 
 // --- Little-endian primitives ---
 
-void PutU16(Buffer* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(Buffer* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+/// Appends `v` little-endian at the width of its type.
+template <typename T>
+void Put(Buffer* out, T v) {
+  const auto u = static_cast<std::make_unsigned_t<T>>(v);
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<uint8_t>(u >> (8 * i)));
   }
 }
 
-void PutU64(Buffer* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutI64(Buffer* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-void PutF32(Buffer* out, float v) { PutU32(out, std::bit_cast<uint32_t>(v)); }
+void PutF32(Buffer* out, float v) { Put(out, std::bit_cast<uint32_t>(v)); }
 
 /// Bounds-checked sequential reader over a frame payload.
 class Reader {
  public:
   explicit Reader(std::span<const uint8_t> data) : data_(data) {}
 
-  bool U16(uint16_t* v) {
-    if (pos_ + 2 > data_.size()) return false;
-    *v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool U32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
+  /// Reads a little-endian value at the width of `*v`'s type.
+  template <typename T>
+  bool Get(T* v) {
+    if (pos_ + sizeof(T) > data_.size()) return false;
+    std::make_unsigned_t<T> u = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      u |= static_cast<decltype(u)>(data_[pos_ + i]) << (8 * i);
     }
-    pos_ += 4;
-    *v = r;
-    return true;
-  }
-
-  bool U64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
-
-  bool I64(int64_t* v) {
-    uint64_t u = 0;
-    if (!U64(&u)) return false;
-    *v = static_cast<int64_t>(u);
+    pos_ += sizeof(T);
+    *v = static_cast<T>(u);
     return true;
   }
 
   bool F32(float* v) {
     uint32_t u = 0;
-    if (!U32(&u)) return false;
+    if (!Get(&u)) return false;
     *v = std::bit_cast<float>(u);
     return true;
   }
@@ -101,10 +69,10 @@ Status Malformed(const char* what) {
 /// length must be patched once the payload has been appended.
 size_t BeginFrame(Buffer* out, FrameType type) {
   const size_t header_at = out->size();
-  PutU32(out, 0);  // payload length, patched by EndFrame
+  Put<uint32_t>(out, 0);  // payload length, patched by EndFrame
   out->push_back(static_cast<uint8_t>(type));
   out->push_back(0);  // flags, reserved
-  PutU16(out, 0);     // reserved
+  Put<uint16_t>(out, 0);  // reserved
   return header_at;
 }
 
@@ -117,45 +85,41 @@ void EndFrame(Buffer* out, size_t header_at) {
   (*out)[header_at + 3] = static_cast<uint8_t>(len >> 24);
 }
 
+// Per-line codec steps for the stats tables: `s` is the record being
+// encoded (`out` the buffer) or decoded (`r` the reader).
+#define OCTOPUS_PUT_FIELD(type, name, ...) Put(out, s.name);
+#define OCTOPUS_READ_FIELD(type, name, ...) \
+  if (!r->Get(&s->name)) return false;
+
 void PutBatchStats(Buffer* out, const BatchStatsWire& s) {
-  PutI64(out, s.probe_nanos);
-  PutI64(out, s.walk_nanos);
-  PutI64(out, s.crawl_nanos);
-  PutI64(out, s.merge_nanos);  // v5
-  PutU64(out, s.queries);
-  PutU64(out, s.probed_vertices);
-  PutU64(out, s.walk_invocations);
-  PutU64(out, s.walk_vertices);
-  PutU64(out, s.crawl_edges);
-  PutU64(out, s.result_vertices);
-  PutU64(out, s.page_hits);
-  PutU64(out, s.page_misses);
-  PutU64(out, s.page_evictions);
-  PutU64(out, s.lease_hits);
-  PutU64(out, s.pages_leased);
-  PutU64(out, s.pages_distinct);
-  PutU32(out, s.batch_queries);
-  PutU32(out, s.batch_requests);
-  PutU64(out, s.epoch.epoch);
-  PutU32(out, s.epoch.step);
-  PutU32(out, 0);  // reserved
-  PutU64(out, s.trace_id);  // v6
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_PUT_FIELD, OCTOPUS_STATS_SKIP)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_PUT_FIELD, OCTOPUS_STATS_SKIP)
+  Put<uint32_t>(out, s.batch_queries);
+  Put<uint32_t>(out, s.batch_requests);
+  Put<uint64_t>(out, s.epoch.epoch);
+  Put<uint32_t>(out, s.epoch.step);
+  Put<uint32_t>(out, 0);  // reserved
+  Put<uint64_t>(out, s.trace_id);  // v6
 }
 
 bool ReadBatchStats(Reader* r, BatchStatsWire* s) {
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_READ_FIELD, OCTOPUS_STATS_SKIP)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_READ_FIELD, OCTOPUS_STATS_SKIP)
   uint32_t reserved = 0;
-  return r->I64(&s->probe_nanos) && r->I64(&s->walk_nanos) &&
-         r->I64(&s->crawl_nanos) && r->I64(&s->merge_nanos) &&
-         r->U64(&s->queries) &&
-         r->U64(&s->probed_vertices) && r->U64(&s->walk_invocations) &&
-         r->U64(&s->walk_vertices) && r->U64(&s->crawl_edges) &&
-         r->U64(&s->result_vertices) && r->U64(&s->page_hits) &&
-         r->U64(&s->page_misses) && r->U64(&s->page_evictions) &&
-         r->U64(&s->lease_hits) && r->U64(&s->pages_leased) &&
-         r->U64(&s->pages_distinct) &&
-         r->U32(&s->batch_queries) && r->U32(&s->batch_requests) &&
-         r->U64(&s->epoch.epoch) && r->U32(&s->epoch.step) &&
-         r->U32(&reserved) && r->U64(&s->trace_id);
+  return r->Get(&s->batch_queries) && r->Get(&s->batch_requests) &&
+         r->Get(&s->epoch.epoch) && r->Get(&s->epoch.step) &&
+         r->Get(&reserved) && r->Get(&s->trace_id);
+}
+
+bool ReadStats(Reader* r, ServerStatsWire* s) {
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_READ_FIELD, OCTOPUS_READ_FIELD,
+                          OCTOPUS_STATS_SKIP)
+  return true;
+}
+
+bool ReadTraceRecord(Reader* r, obs::QueryTraceRecord* s) {
+  OCTOPUS_TRACE_RECORD_FIELDS(OCTOPUS_READ_FIELD)
+  return true;
 }
 
 }  // namespace
@@ -181,23 +145,11 @@ BatchStatsWire BatchStatsWire::FromPhaseStats(const PhaseStats& stats,
                                               uint32_t batch_requests,
                                               engine::EpochInfo epoch) {
   BatchStatsWire w;
+#define OCTOPUS_FROM_PHASE(type, name, ...) w.name = stats.name;
+#define OCTOPUS_FROM_PAGE_IO(type, name, ...) w.name = stats.page_io.name;
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_FROM_PHASE, OCTOPUS_STATS_SKIP)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_FROM_PAGE_IO, OCTOPUS_STATS_SKIP)
   w.epoch = epoch;
-  w.probe_nanos = stats.probe_nanos;
-  w.walk_nanos = stats.walk_nanos;
-  w.crawl_nanos = stats.crawl_nanos;
-  w.merge_nanos = stats.merge_nanos;
-  w.queries = stats.queries;
-  w.probed_vertices = stats.probed_vertices;
-  w.walk_invocations = stats.walk_invocations;
-  w.walk_vertices = stats.walk_vertices;
-  w.crawl_edges = stats.crawl_edges;
-  w.result_vertices = stats.result_vertices;
-  w.page_hits = stats.page_io.page_hits;
-  w.page_misses = stats.page_io.page_misses;
-  w.page_evictions = stats.page_io.page_evictions;
-  w.lease_hits = stats.page_io.lease_hits;
-  w.pages_leased = stats.page_io.pages_leased;
-  w.pages_distinct = stats.page_io.pages_distinct;
   w.batch_queries = batch_queries;
   w.batch_requests = batch_requests;
   return w;
@@ -205,42 +157,30 @@ BatchStatsWire BatchStatsWire::FromPhaseStats(const PhaseStats& stats,
 
 PhaseStats BatchStatsWire::ToPhaseStats() const {
   PhaseStats s;
-  s.probe_nanos = probe_nanos;
-  s.walk_nanos = walk_nanos;
-  s.crawl_nanos = crawl_nanos;
-  s.merge_nanos = merge_nanos;
-  s.queries = queries;
-  s.probed_vertices = probed_vertices;
-  s.walk_invocations = walk_invocations;
-  s.walk_vertices = walk_vertices;
-  s.crawl_edges = crawl_edges;
-  s.result_vertices = result_vertices;
-  s.page_io.page_hits = page_hits;
-  s.page_io.page_misses = page_misses;
-  s.page_io.page_evictions = page_evictions;
-  s.page_io.lease_hits = lease_hits;
-  s.page_io.pages_leased = pages_leased;
-  s.page_io.pages_distinct = pages_distinct;
+#define OCTOPUS_TO_PHASE(type, name, ...) s.name = this->name;
+#define OCTOPUS_TO_PAGE_IO(type, name, ...) s.page_io.name = this->name;
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_TO_PHASE, OCTOPUS_STATS_SKIP)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_TO_PAGE_IO, OCTOPUS_STATS_SKIP)
   s.stale_steps = epoch.step;
   return s;
 }
 
 void AppendHello(Buffer* out, const HelloFrame& hello) {
   const size_t h = BeginFrame(out, FrameType::kHello);
-  PutU32(out, hello.magic);
-  PutU16(out, hello.version);
-  PutU16(out, hello.flags);
+  Put<uint32_t>(out, hello.magic);
+  Put<uint16_t>(out, hello.version);
+  Put<uint16_t>(out, hello.flags);
   EndFrame(out, h);
 }
 
 void AppendWelcome(Buffer* out, const WelcomeFrame& welcome) {
   const size_t h = BeginFrame(out, FrameType::kWelcome);
-  PutU16(out, welcome.version);
+  Put<uint16_t>(out, welcome.version);
   out->push_back(welcome.paged);
   out->push_back(welcome.dynamic);
-  PutU64(out, welcome.num_vertices);
-  PutU32(out, welcome.page_bytes);
-  PutU32(out, welcome.max_batch_queries);
+  Put<uint64_t>(out, welcome.num_vertices);
+  Put<uint32_t>(out, welcome.page_bytes);
+  Put<uint32_t>(out, welcome.max_batch_queries);
   EndFrame(out, h);
 }
 
@@ -248,11 +188,11 @@ void AppendQueryBatch(Buffer* out, uint64_t request_id,
                       std::span<const AABB> boxes, uint64_t epoch,
                       uint64_t client_span_id) {
   const size_t h = BeginFrame(out, FrameType::kQueryBatch);
-  PutU64(out, request_id);
-  PutU32(out, static_cast<uint32_t>(boxes.size()));
-  PutU32(out, 0);  // reserved
-  PutU64(out, epoch);  // 0 = current (v3)
-  PutU64(out, client_span_id);  // 0 = no client span (v6)
+  Put<uint64_t>(out, request_id);
+  Put<uint32_t>(out, static_cast<uint32_t>(boxes.size()));
+  Put<uint32_t>(out, 0);  // reserved
+  Put<uint64_t>(out, epoch);  // 0 = current (v3)
+  Put<uint64_t>(out, client_span_id);  // 0 = no client span (v6)
   for (const AABB& box : boxes) {
     PutF32(out, box.min.x);
     PutF32(out, box.min.y);
@@ -277,13 +217,13 @@ void AppendResult(Buffer* out, uint64_t request_id,
                   const BatchStatsWire& stats,
                   std::span<const std::vector<VertexId>> per_query) {
   const size_t h = BeginFrame(out, FrameType::kResult);
-  PutU64(out, request_id);
-  PutU32(out, static_cast<uint32_t>(per_query.size()));
-  PutU32(out, 0);  // reserved
+  Put<uint64_t>(out, request_id);
+  Put<uint32_t>(out, static_cast<uint32_t>(per_query.size()));
+  Put<uint32_t>(out, 0);  // reserved
   PutBatchStats(out, stats);
   for (const std::vector<VertexId>& result : per_query) {
-    PutU32(out, static_cast<uint32_t>(result.size()));
-    for (const VertexId v : result) PutU32(out, v);
+    Put<uint32_t>(out, static_cast<uint32_t>(result.size()));
+    for (const VertexId v : result) Put<uint32_t>(out, v);
   }
   EndFrame(out, h);
 }
@@ -292,12 +232,12 @@ void AppendResultMeta(Buffer* out, uint64_t request_id,
                       const BatchStatsWire& stats,
                       std::span<const std::vector<VertexId>> per_query) {
   const size_t h = BeginFrame(out, FrameType::kResult);
-  PutU64(out, request_id);
-  PutU32(out, static_cast<uint32_t>(per_query.size()));
-  PutU32(out, 0);  // reserved
+  Put<uint64_t>(out, request_id);
+  Put<uint32_t>(out, static_cast<uint32_t>(per_query.size()));
+  Put<uint32_t>(out, 0);  // reserved
   PutBatchStats(out, stats);
   for (const std::vector<VertexId>& result : per_query) {
-    PutU32(out, static_cast<uint32_t>(result.size()));
+    Put<uint32_t>(out, static_cast<uint32_t>(result.size()));
   }
   // Not EndFrame: the header must announce the FULL payload, including
   // the vertex ids the writer gathers in from the result vectors.
@@ -313,56 +253,40 @@ void AppendStatsRequest(Buffer* out) {
   EndFrame(out, h);
 }
 
-void AppendStats(Buffer* out, const ServerStatsWire& stats) {
+void AppendStats(Buffer* out, const ServerStatsWire& s) {
   const size_t h = BeginFrame(out, FrameType::kStats);
-  PutU64(out, stats.connections_accepted);
-  PutU64(out, stats.connections_active);
-  PutU64(out, stats.frames_received);
-  PutU64(out, stats.malformed_frames);
-  PutU64(out, stats.queries_received);
-  PutU64(out, stats.queries_rejected);
-  PutU64(out, stats.queries_executed);
-  PutU64(out, stats.batches_executed);
-  PutU64(out, stats.latency_p50_nanos);
-  PutU64(out, stats.latency_p95_nanos);
-  PutU64(out, stats.latency_p99_nanos);
-  PutU64(out, stats.page_hits);
-  PutU64(out, stats.page_misses);
-  PutU64(out, stats.page_evictions);
-  PutU64(out, stats.lease_hits);
-  PutU64(out, stats.pages_leased);
-  PutU64(out, stats.pages_distinct);
-  PutU64(out, stats.steps_applied);
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_PUT_FIELD, OCTOPUS_PUT_FIELD,
+                          OCTOPUS_STATS_SKIP)
   EndFrame(out, h);
 }
 
 void AppendStep(Buffer* out, const StepFrame& step) {
   const size_t h = BeginFrame(out, FrameType::kStep);
-  PutU32(out, step.steps);
-  PutU32(out, 0);  // reserved
+  Put<uint32_t>(out, step.steps);
+  Put<uint32_t>(out, 0);  // reserved
   EndFrame(out, h);
 }
 
 void AppendEpochInfo(Buffer* out, const EpochInfoWire& info) {
   const size_t h = BeginFrame(out, FrameType::kEpochInfo);
-  PutU64(out, info.epoch);
-  PutU32(out, info.step);
+  Put<uint64_t>(out, info.epoch);
+  Put<uint32_t>(out, info.step);
   out->push_back(info.dynamic);
   out->push_back(info.deformer_kind);
-  PutU16(out, 0);  // reserved
-  PutU64(out, info.last_step_pages_rewritten);
+  Put<uint16_t>(out, 0);  // reserved
+  Put<uint64_t>(out, info.last_step_pages_rewritten);
   EndFrame(out, h);
 }
 
 void AppendPinEpoch(Buffer* out, const PinEpochFrame& pin) {
   const size_t h = BeginFrame(out, FrameType::kPinEpoch);
-  PutU64(out, pin.epoch);
+  Put<uint64_t>(out, pin.epoch);
   EndFrame(out, h);
 }
 
 void AppendUnpinEpoch(Buffer* out, const PinEpochFrame& unpin) {
   const size_t h = BeginFrame(out, FrameType::kUnpinEpoch);
-  PutU64(out, unpin.epoch);
+  Put<uint64_t>(out, unpin.epoch);
   EndFrame(out, h);
 }
 
@@ -373,39 +297,21 @@ void AppendTraceDumpRequest(Buffer* out) {
 
 void AppendTraceDump(Buffer* out, const TraceDumpWire& dump) {
   const size_t h = BeginFrame(out, FrameType::kTraceDump);
-  PutU64(out, dump.total_recorded);
-  PutU32(out, static_cast<uint32_t>(dump.records.size()));
-  PutU32(out, 0);  // reserved
-  for (const obs::QueryTraceRecord& r : dump.records) {
-    PutU64(out, r.trace_id);
-    PutU64(out, r.session_id);
-    PutU64(out, r.request_id);
-    PutU64(out, r.epoch);
-    PutU32(out, r.epoch_step);
-    PutU32(out, r.queries);
-    PutU32(out, r.batch_queries);
-    PutU32(out, r.batch_requests);
-    PutI64(out, r.arrival_nanos);
-    PutI64(out, r.queue_wait_nanos);
-    PutI64(out, r.probe_nanos);
-    PutI64(out, r.walk_nanos);
-    PutI64(out, r.crawl_nanos);
-    PutI64(out, r.merge_nanos);
-    PutI64(out, r.serialize_nanos);
-    PutI64(out, r.total_nanos);
-    PutU64(out, r.page_accesses);
-    PutU64(out, r.lease_hits);
-    PutU64(out, r.result_vertices);
+  Put<uint64_t>(out, dump.total_recorded);
+  Put<uint32_t>(out, static_cast<uint32_t>(dump.records.size()));
+  Put<uint32_t>(out, 0);  // reserved
+  for (const obs::QueryTraceRecord& s : dump.records) {
+    OCTOPUS_TRACE_RECORD_FIELDS(OCTOPUS_PUT_FIELD)
   }
   EndFrame(out, h);
 }
 
 void AppendError(Buffer* out, const ErrorFrame& error) {
   const size_t h = BeginFrame(out, FrameType::kError);
-  PutU16(out, static_cast<uint16_t>(error.code));
-  PutU16(out, 0);  // reserved
-  PutU64(out, error.request_id);
-  PutU32(out, static_cast<uint32_t>(error.message.size()));
+  Put<uint16_t>(out, static_cast<uint16_t>(error.code));
+  Put<uint16_t>(out, 0);  // reserved
+  Put<uint64_t>(out, error.request_id);
+  Put<uint32_t>(out, static_cast<uint32_t>(error.message.size()));
   out->insert(out->end(), error.message.begin(), error.message.end());
   EndFrame(out, h);
 }
@@ -443,7 +349,7 @@ Result<FrameHeader> ParseFrameHeader(std::span<const uint8_t> data) {
 
 Status ParseHello(std::span<const uint8_t> payload, HelloFrame* out) {
   Reader r(payload);
-  if (!r.U32(&out->magic) || !r.U16(&out->version) || !r.U16(&out->flags) ||
+  if (!r.Get(&out->magic) || !r.Get(&out->version) || !r.Get(&out->flags) ||
       !r.Done()) {
     return Malformed("HELLO payload must be exactly 8 bytes");
   }
@@ -453,9 +359,9 @@ Status ParseHello(std::span<const uint8_t> payload, HelloFrame* out) {
 Status ParseWelcome(std::span<const uint8_t> payload, WelcomeFrame* out) {
   Reader r(payload);
   uint16_t packed = 0;
-  if (!r.U16(&out->version) || !r.U16(&packed) ||
-      !r.U64(&out->num_vertices) || !r.U32(&out->page_bytes) ||
-      !r.U32(&out->max_batch_queries) || !r.Done()) {
+  if (!r.Get(&out->version) || !r.Get(&packed) ||
+      !r.Get(&out->num_vertices) || !r.Get(&out->page_bytes) ||
+      !r.Get(&out->max_batch_queries) || !r.Done()) {
     return Malformed("WELCOME payload size mismatch");
   }
   out->paged = static_cast<uint8_t>(packed & 0xFF);
@@ -469,8 +375,8 @@ Status ParseQueryBatch(std::span<const uint8_t> payload,
   Reader r(payload);
   uint32_t count = 0;
   uint32_t reserved = 0;
-  if (!r.U64(request_id) || !r.U32(&count) || !r.U32(&reserved) ||
-      !r.U64(epoch) || !r.U64(client_span_id)) {
+  if (!r.Get(request_id) || !r.Get(&count) || !r.Get(&reserved) ||
+      !r.Get(epoch) || !r.Get(client_span_id)) {
     return Malformed("QUERY_BATCH header truncated");
   }
   if (r.remaining() != static_cast<size_t>(count) * kQueryBoxBytes) {
@@ -495,7 +401,7 @@ Status ParseResult(std::span<const uint8_t> payload, uint64_t* request_id,
   Reader r(payload);
   uint32_t num_queries = 0;
   uint32_t reserved = 0;
-  if (!r.U64(request_id) || !r.U32(&num_queries) || !r.U32(&reserved) ||
+  if (!r.Get(request_id) || !r.Get(&num_queries) || !r.Get(&reserved) ||
       !ReadBatchStats(&r, stats)) {
     return Malformed("RESULT header truncated");
   }
@@ -508,14 +414,14 @@ Status ParseResult(std::span<const uint8_t> payload, uint64_t* request_id,
   per_query->resize(num_queries);
   for (uint32_t q = 0; q < num_queries; ++q) {
     uint32_t count = 0;
-    if (!r.U32(&count)) return Malformed("RESULT count truncated");
+    if (!r.Get(&count)) return Malformed("RESULT count truncated");
     if (r.remaining() < static_cast<size_t>(count) * 4) {
       return Malformed("RESULT ids truncated");
     }
     std::vector<VertexId>& ids = (*per_query)[q];
     ids.resize(count);
     for (uint32_t i = 0; i < count; ++i) {
-      r.U32(&ids[i]);
+      r.Get(&ids[i]);
     }
   }
   if (!r.Done()) return Malformed("RESULT trailing bytes");
@@ -524,16 +430,7 @@ Status ParseResult(std::span<const uint8_t> payload, uint64_t* request_id,
 
 Status ParseStats(std::span<const uint8_t> payload, ServerStatsWire* out) {
   Reader r(payload);
-  if (!r.U64(&out->connections_accepted) ||
-      !r.U64(&out->connections_active) || !r.U64(&out->frames_received) ||
-      !r.U64(&out->malformed_frames) || !r.U64(&out->queries_received) ||
-      !r.U64(&out->queries_rejected) || !r.U64(&out->queries_executed) ||
-      !r.U64(&out->batches_executed) || !r.U64(&out->latency_p50_nanos) ||
-      !r.U64(&out->latency_p95_nanos) || !r.U64(&out->latency_p99_nanos) ||
-      !r.U64(&out->page_hits) || !r.U64(&out->page_misses) ||
-      !r.U64(&out->page_evictions) || !r.U64(&out->lease_hits) ||
-      !r.U64(&out->pages_leased) || !r.U64(&out->pages_distinct) ||
-      !r.U64(&out->steps_applied) || !r.Done()) {
+  if (!ReadStats(&r, out) || !r.Done()) {
     return Malformed("STATS payload size mismatch");
   }
   return Status::OK();
@@ -542,7 +439,7 @@ Status ParseStats(std::span<const uint8_t> payload, ServerStatsWire* out) {
 Status ParseStep(std::span<const uint8_t> payload, StepFrame* out) {
   Reader r(payload);
   uint32_t reserved = 0;
-  if (!r.U32(&out->steps) || !r.U32(&reserved) || !r.Done()) {
+  if (!r.Get(&out->steps) || !r.Get(&reserved) || !r.Done()) {
     return Malformed("STEP payload must be exactly 8 bytes");
   }
   if (out->steps > kMaxStepsPerFrame) {
@@ -556,8 +453,8 @@ Status ParseEpochInfo(std::span<const uint8_t> payload,
   Reader r(payload);
   uint16_t packed = 0;
   uint16_t reserved = 0;
-  if (!r.U64(&out->epoch) || !r.U32(&out->step) || !r.U16(&packed) ||
-      !r.U16(&reserved) || !r.U64(&out->last_step_pages_rewritten) ||
+  if (!r.Get(&out->epoch) || !r.Get(&out->step) || !r.Get(&packed) ||
+      !r.Get(&reserved) || !r.Get(&out->last_step_pages_rewritten) ||
       !r.Done()) {
     return Malformed("EPOCH_INFO payload size mismatch");
   }
@@ -569,7 +466,7 @@ Status ParseEpochInfo(std::span<const uint8_t> payload,
 Status ParsePinEpoch(std::span<const uint8_t> payload,
                      PinEpochFrame* out) {
   Reader r(payload);
-  if (!r.U64(&out->epoch) || !r.Done()) {
+  if (!r.Get(&out->epoch) || !r.Done()) {
     return Malformed("PIN/UNPIN_EPOCH payload must be exactly 8 bytes");
   }
   return Status::OK();
@@ -580,7 +477,7 @@ Status ParseTraceDump(std::span<const uint8_t> payload,
   Reader r(payload);
   uint32_t count = 0;
   uint32_t reserved = 0;
-  if (!r.U64(&out->total_recorded) || !r.U32(&count) || !r.U32(&reserved)) {
+  if (!r.Get(&out->total_recorded) || !r.Get(&count) || !r.Get(&reserved)) {
     return Malformed("TRACE_DUMP header truncated");
   }
   if (reserved != 0) {
@@ -594,16 +491,7 @@ Status ParseTraceDump(std::span<const uint8_t> payload,
   out->records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     obs::QueryTraceRecord rec;
-    if (!r.U64(&rec.trace_id) || !r.U64(&rec.session_id) ||
-        !r.U64(&rec.request_id) || !r.U64(&rec.epoch) ||
-        !r.U32(&rec.epoch_step) || !r.U32(&rec.queries) ||
-        !r.U32(&rec.batch_queries) || !r.U32(&rec.batch_requests) ||
-        !r.I64(&rec.arrival_nanos) || !r.I64(&rec.queue_wait_nanos) ||
-        !r.I64(&rec.probe_nanos) || !r.I64(&rec.walk_nanos) ||
-        !r.I64(&rec.crawl_nanos) || !r.I64(&rec.merge_nanos) ||
-        !r.I64(&rec.serialize_nanos) || !r.I64(&rec.total_nanos) ||
-        !r.U64(&rec.page_accesses) || !r.U64(&rec.lease_hits) ||
-        !r.U64(&rec.result_vertices)) {
+    if (!ReadTraceRecord(&r, &rec)) {
       return Malformed("TRACE_DUMP truncated record");
     }
     out->records.push_back(rec);
@@ -617,8 +505,8 @@ Status ParseError(std::span<const uint8_t> payload, ErrorFrame* out) {
   uint16_t code = 0;
   uint16_t reserved = 0;
   uint32_t msg_len = 0;
-  if (!r.U16(&code) || !r.U16(&reserved) || !r.U64(&out->request_id) ||
-      !r.U32(&msg_len) || msg_len != r.remaining() ||
+  if (!r.Get(&code) || !r.Get(&reserved) || !r.Get(&out->request_id) ||
+      !r.Get(&msg_len) || msg_len != r.remaining() ||
       !r.Bytes(msg_len, &out->message)) {
     return Malformed("ERROR payload size mismatch");
   }

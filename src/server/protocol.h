@@ -124,30 +124,16 @@ struct WelcomeFrame {
 /// contains exactly the request's queries and the counters equal the
 /// in-process engine's; under coalescing they are batch-scoped.
 struct BatchStatsWire {
-  int64_t probe_nanos = 0;
-  int64_t walk_nanos = 0;
-  int64_t crawl_nanos = 0;
-  /// Batch-end fold of per-shard stats into the aggregate (v5). Tiny
-  /// next to the probe/walk/crawl phases, but it is the one cost the
-  /// sharded execution model adds over a sequential sweep.
-  int64_t merge_nanos = 0;
-  uint64_t queries = 0;
-  uint64_t probed_vertices = 0;
-  uint64_t walk_invocations = 0;
-  uint64_t walk_vertices = 0;
-  uint64_t crawl_edges = 0;
-  uint64_t result_vertices = 0;
-  uint64_t page_hits = 0;
-  uint64_t page_misses = 0;
-  uint64_t page_evictions = 0;
-  /// Lease counters (v4): under the leased-page discipline
-  /// `page_hits + page_misses` prices a page once per batch (at lease
-  /// acquisition), `lease_hits` counts the free re-reads through held
-  /// leases, and `pages_distinct` is the exact distinct-page count the
-  /// priced accesses approximate.
-  uint64_t lease_hits = 0;
-  uint64_t pages_leased = 0;
-  uint64_t pages_distinct = 0;
+  /// The WIRE lines of the phase and page-I/O tables (octopus/
+  /// phase_stats.h, storage/page.h), in that order, at wire width.
+  /// `merge_nanos` arrived in v5; the lease counters
+  /// (`lease_hits`/`pages_leased`/`pages_distinct`) in v4: under the
+  /// leased-page discipline `page_hits + page_misses` prices a page once
+  /// per batch (at lease acquisition), `lease_hits` counts the free
+  /// re-reads through held leases, and `pages_distinct` is the exact
+  /// distinct-page count the priced accesses approximate.
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_STATS_WIRE_DECLARE, OCTOPUS_STATS_SKIP)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_STATS_WIRE_DECLARE, OCTOPUS_STATS_SKIP)
   uint32_t batch_queries = 0;   ///< queries in the coalesced batch
   uint32_t batch_requests = 0;  ///< client requests coalesced into it
   /// v6: the flight-recorder trace id the server assigned THIS request
@@ -204,26 +190,40 @@ struct EpochInfoWire {
   uint64_t last_step_pages_rewritten = 0;
 };
 
+/// The server's counters (`ServerMetrics`) and the STATS snapshot
+/// (`ServerStatsWire`), one line each:
+///   STATS|LOCAL(type, name, /metrics unit, /metrics name, help)
+///   SNAPSHOT(type, name, help)
+/// STATS and LOCAL lines are atomic counters in ServerMetrics; STATS and
+/// SNAPSHOT lines are the STATS payload, one u64 each in line order.
+/// SNAPSHOT values are derived when the snapshot is taken (the page-I/O
+/// ones are the engine totals).
+// clang-format off
+#define OCTOPUS_SERVER_COUNTERS(STATS, SNAPSHOT, LOCAL) \
+  STATS(uint64_t, connections_accepted, kCount, "octopus_connections_accepted_total", "TCP connections accepted.") \
+  SNAPSHOT(uint64_t, connections_active, "Currently open sessions.") \
+  STATS(uint64_t, frames_received, kCount, "octopus_frames_received_total", "Complete OCTP frames parsed.") \
+  STATS(uint64_t, malformed_frames, kCount, "octopus_malformed_frames_total", "Frames rejected as malformed.") \
+  STATS(uint64_t, queries_received, kCount, "octopus_queries_received_total", "Range queries received in QUERY_BATCH frames.") \
+  STATS(uint64_t, queries_rejected, kCount, "octopus_queries_rejected_total", "Queries rejected (admission control or EPOCH_GONE).") \
+  STATS(uint64_t, queries_executed, kCount, "octopus_queries_executed_total", "Queries executed by the engine.") \
+  STATS(uint64_t, batches_executed, kCount, "octopus_batches_executed_total", "Coalesced engine batches executed.") \
+  SNAPSHOT(uint64_t, latency_p50_nanos, "Request arrival to response enqueue.") \
+  SNAPSHOT(uint64_t, latency_p95_nanos, "Request arrival to response enqueue.") \
+  SNAPSHOT(uint64_t, latency_p99_nanos, "Request arrival to response enqueue.") \
+  OCTOPUS_PAGE_IO_FIELDS(SNAPSHOT, OCTOPUS_STATS_SKIP) \
+  SNAPSHOT(uint64_t, steps_applied, "Simulation steps the backend applied.") \
+  LOCAL(uint64_t, connections_closed, kCount, "octopus_connections_closed_total", "TCP connections closed.") \
+  LOCAL(uint64_t, results_sent, kCount, "octopus_results_sent_total", "RESULT frames enqueued.") \
+  LOCAL(uint64_t, errors_sent, kCount, "octopus_errors_sent_total", "ERROR frames enqueued.") \
+  LOCAL(uint64_t, slow_queries, kCount, "octopus_slow_queries_total", "Requests over the --slow-query-ms threshold.") \
+  LOCAL(int64_t, serialize_nanos_total, kNanos, "octopus_serialize_seconds_total", "Wall clock spent encoding RESULT frames.")
+// clang-format on
+
 /// Server metrics snapshot carried by the STATS frame.
 struct ServerStatsWire {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t frames_received = 0;
-  uint64_t malformed_frames = 0;
-  uint64_t queries_received = 0;
-  uint64_t queries_rejected = 0;  ///< admission-control rejections
-  uint64_t queries_executed = 0;
-  uint64_t batches_executed = 0;
-  uint64_t latency_p50_nanos = 0;  ///< request arrival -> response enqueue
-  uint64_t latency_p95_nanos = 0;
-  uint64_t latency_p99_nanos = 0;
-  uint64_t page_hits = 0;  ///< totals across every executed batch
-  uint64_t page_misses = 0;
-  uint64_t page_evictions = 0;
-  uint64_t lease_hits = 0;  ///< v4: reads served by held leases
-  uint64_t pages_leased = 0;
-  uint64_t pages_distinct = 0;
-  uint64_t steps_applied = 0;  ///< simulation steps the backend applied
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_STATS_WIRE_DECLARE,
+                          OCTOPUS_STATS_WIRE_DECLARE, OCTOPUS_STATS_SKIP)
 
   /// Mean queries per executed batch (0 when nothing executed yet).
   double CoalesceFactor() const {
@@ -296,37 +296,33 @@ inline constexpr size_t kResultFixedBytes = 16;
 static_assert(kResultFixedBytes ==
               sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint32_t));
 
+/// Adds the wire width of a table line's field of `Record` to `bytes`.
+#define OCTOPUS_ADD_WIRE_BYTES(type, name, ...) bytes += sizeof(Record::name);
+
 /// The batch-stats block every RESULT carries (v6: 160 bytes). Field
 /// order on the wire: the 4 phase i64s, the 12 u64 counters, the two
 /// batch u32s, epoch u64 + step u32 + reserved u32, trace_id u64.
 inline constexpr size_t kBatchStatsBytes = 160;
-static_assert(kBatchStatsBytes ==
-              sizeof(BatchStatsWire::probe_nanos) +
-                  sizeof(BatchStatsWire::walk_nanos) +
-                  sizeof(BatchStatsWire::crawl_nanos) +
-                  sizeof(BatchStatsWire::merge_nanos) +
-                  sizeof(BatchStatsWire::queries) +
-                  sizeof(BatchStatsWire::probed_vertices) +
-                  sizeof(BatchStatsWire::walk_invocations) +
-                  sizeof(BatchStatsWire::walk_vertices) +
-                  sizeof(BatchStatsWire::crawl_edges) +
-                  sizeof(BatchStatsWire::result_vertices) +
-                  sizeof(BatchStatsWire::page_hits) +
-                  sizeof(BatchStatsWire::page_misses) +
-                  sizeof(BatchStatsWire::page_evictions) +
-                  sizeof(BatchStatsWire::lease_hits) +
-                  sizeof(BatchStatsWire::pages_leased) +
-                  sizeof(BatchStatsWire::pages_distinct) +
-                  sizeof(BatchStatsWire::batch_queries) +
-                  sizeof(BatchStatsWire::batch_requests) +
-                  sizeof(engine::EpochInfo::epoch) +
-                  sizeof(engine::EpochInfo::step) +
-                  sizeof(uint32_t) /* reserved */ +
-                  sizeof(BatchStatsWire::trace_id));
+static_assert(kBatchStatsBytes == [] {
+  using Record = BatchStatsWire;
+  size_t bytes = 0;
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_ADD_WIRE_BYTES, OCTOPUS_STATS_SKIP)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_ADD_WIRE_BYTES, OCTOPUS_STATS_SKIP)
+  return bytes + sizeof(Record::batch_queries) +
+         sizeof(Record::batch_requests) + sizeof(engine::EpochInfo::epoch) +
+         sizeof(engine::EpochInfo::step) + sizeof(uint32_t) /* reserved */ +
+         sizeof(Record::trace_id);
+}());
 
-/// STATS payload: 18 u64 counters, in declaration order.
+/// STATS payload: 18 u64 counters, in table order.
 inline constexpr size_t kStatsPayloadBytes = 144;
-static_assert(kStatsPayloadBytes == 18 * sizeof(uint64_t));
+static_assert(kStatsPayloadBytes == [] {
+  using Record = ServerStatsWire;
+  size_t bytes = 0;
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_ADD_WIRE_BYTES, OCTOPUS_ADD_WIRE_BYTES,
+                          OCTOPUS_STATS_SKIP)
+  return bytes;
+}());
 
 /// STEP payload: steps u32, reserved u32.
 inline constexpr size_t kStepPayloadBytes = 8;
@@ -364,26 +360,14 @@ static_assert(kTraceDumpFixedBytes ==
 // One trace record: 4 u64 ids, 4 u32 batch shape fields, 8 i64 phase
 // nanos, 3 u64 counters — 136 bytes, the constant TRACE_DUMP sizing
 // and parsing already rely on.
-static_assert(kTraceRecordBytes ==
-              sizeof(obs::QueryTraceRecord::trace_id) +
-                  sizeof(obs::QueryTraceRecord::session_id) +
-                  sizeof(obs::QueryTraceRecord::request_id) +
-                  sizeof(obs::QueryTraceRecord::epoch) +
-                  sizeof(obs::QueryTraceRecord::epoch_step) +
-                  sizeof(obs::QueryTraceRecord::queries) +
-                  sizeof(obs::QueryTraceRecord::batch_queries) +
-                  sizeof(obs::QueryTraceRecord::batch_requests) +
-                  sizeof(obs::QueryTraceRecord::arrival_nanos) +
-                  sizeof(obs::QueryTraceRecord::queue_wait_nanos) +
-                  sizeof(obs::QueryTraceRecord::probe_nanos) +
-                  sizeof(obs::QueryTraceRecord::walk_nanos) +
-                  sizeof(obs::QueryTraceRecord::crawl_nanos) +
-                  sizeof(obs::QueryTraceRecord::merge_nanos) +
-                  sizeof(obs::QueryTraceRecord::serialize_nanos) +
-                  sizeof(obs::QueryTraceRecord::total_nanos) +
-                  sizeof(obs::QueryTraceRecord::page_accesses) +
-                  sizeof(obs::QueryTraceRecord::lease_hits) +
-                  sizeof(obs::QueryTraceRecord::result_vertices));
+static_assert(kTraceRecordBytes == [] {
+  using Record = obs::QueryTraceRecord;
+  size_t bytes = 0;
+  OCTOPUS_TRACE_RECORD_FIELDS(OCTOPUS_ADD_WIRE_BYTES)
+  return bytes;
+}());
+
+#undef OCTOPUS_ADD_WIRE_BYTES
 
 // --- Encoding: appends one complete frame (header + payload) ---
 

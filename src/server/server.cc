@@ -406,15 +406,19 @@ void QueryServer::IoLoop(size_t index) {
       break;  // unrecoverable; fall through to the drain
     }
 
+    // Reset the eventfd BEFORE taking the inbox: a Post that lands
+    // after the swap must leave it signalled for the next epoll_wait,
+    // or its frame would sit in the inbox until an unrelated wakeup.
+    for (int i = 0; i < ready; ++i) {
+      if (events[i].data.fd != io.event_fd) continue;
+      uint64_t counter = 0;
+      while (read(io.event_fd, &counter, sizeof(counter)) > 0) {
+      }
+    }
     ProcessInbox(io, &draining);
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == io.event_fd) {
-        uint64_t counter = 0;
-        while (read(io.event_fd, &counter, sizeof(counter)) > 0) {
-        }
-        continue;
-      }
+      if (fd == io.event_fd) continue;
       auto it = io.by_fd.find(fd);
       if (it == io.by_fd.end()) continue;
       Session* session = it->second;
@@ -1345,42 +1349,16 @@ std::string QueryServer::RenderMetricsText() const {
   constexpr double kNano = 1e-9;
   const ServerMetrics& m = metrics_;
 
-  reg.AddCounter("octopus_connections_accepted_total",
-                 "TCP connections accepted.", m.connections_accepted);
-  reg.AddCounter("octopus_connections_closed_total",
-                 "TCP connections closed.", m.connections_closed);
+#define OCTOPUS_EXPORT_COUNTER(type, name, unit, metric, help) \
+  reg.AddTableCounter(obs::CounterUnit::unit, metric, help,    \
+                      m.name.load(std::memory_order_relaxed));
+  OCTOPUS_SERVER_COUNTERS(OCTOPUS_EXPORT_COUNTER, OCTOPUS_STATS_SKIP,
+                          OCTOPUS_EXPORT_COUNTER)
   reg.AddGauge("octopus_connections_active", "Currently open sessions.",
                static_cast<double>(m.connections_active()));
   reg.AddGauge("octopus_io_threads",
                "I/O threads serving connections (sharded by fd).",
                static_cast<double>(ResolvedIoThreads()));
-  reg.AddCounter("octopus_frames_received_total",
-                 "Complete OCTP frames parsed.", m.frames_received);
-  reg.AddCounter("octopus_malformed_frames_total",
-                 "Frames rejected as malformed.", m.malformed_frames);
-  reg.AddCounter("octopus_queries_received_total",
-                 "Range queries received in QUERY_BATCH frames.",
-                 m.queries_received);
-  reg.AddCounter("octopus_queries_rejected_total",
-                 "Queries rejected (admission control or EPOCH_GONE).",
-                 m.queries_rejected);
-  reg.AddCounter("octopus_queries_executed_total",
-                 "Queries executed by the engine.", m.queries_executed);
-  reg.AddCounter("octopus_batches_executed_total",
-                 "Coalesced engine batches executed.", m.batches_executed);
-  reg.AddCounter("octopus_results_sent_total", "RESULT frames enqueued.",
-                 m.results_sent);
-  reg.AddCounter("octopus_errors_sent_total", "ERROR frames enqueued.",
-                 m.errors_sent);
-  reg.AddCounter("octopus_slow_queries_total",
-                 "Requests over the --slow-query-ms threshold.",
-                 m.slow_queries);
-  reg.AddCounterSeconds(
-      "octopus_serialize_seconds_total",
-      "Wall clock spent encoding RESULT frames.",
-      static_cast<double>(
-          m.serialize_nanos_total.load(std::memory_order_relaxed)) *
-          kNano);
   const std::vector<uint64_t> bounds =
       LatencyHistogram::BucketUpperBounds();
   reg.AddNanosHistogram(
@@ -1399,40 +1377,13 @@ std::string QueryServer::RenderMetricsText() const {
       static_cast<double>(stall.sum_nanos()) * kNano);
 
   const PhaseStats engine = m.EngineTotal();
-  reg.AddCounterSeconds("octopus_engine_probe_seconds_total",
-                        "Surface-probe phase wall clock.",
-                        static_cast<double>(engine.probe_nanos) * kNano);
-  reg.AddCounterSeconds("octopus_engine_walk_seconds_total",
-                        "Directed-walk phase wall clock.",
-                        static_cast<double>(engine.walk_nanos) * kNano);
-  reg.AddCounterSeconds("octopus_engine_crawl_seconds_total",
-                        "Crawl phase wall clock.",
-                        static_cast<double>(engine.crawl_nanos) * kNano);
-  reg.AddCounterSeconds("octopus_engine_merge_seconds_total",
-                        "Batch-end stats-merge wall clock.",
-                        static_cast<double>(engine.merge_nanos) * kNano);
-  const storage::PageIOStats& io_stats = engine.page_io;
-  reg.AddCounter("octopus_page_hits_total",
-                 "Priced page accesses served by the pool.",
-                 io_stats.page_hits);
-  reg.AddCounter("octopus_page_misses_total",
-                 "Priced page accesses that read from disk.",
-                 io_stats.page_misses);
-  reg.AddCounter("octopus_page_evictions_total",
-                 "Pages evicted during query execution.",
-                 io_stats.page_evictions);
-  reg.AddCounter("octopus_lease_hits_total",
-                 "Reads served free through a held lease.",
-                 io_stats.lease_hits);
-  reg.AddCounter("octopus_pages_leased_total",
-                 "Lease acquisitions (first touch per batch).",
-                 io_stats.pages_leased);
-  reg.AddCounter("octopus_pages_distinct_total",
-                 "Distinct pages touched across batches.",
-                 io_stats.pages_distinct);
-  reg.AddCounter("octopus_lease_revocations_total",
-                 "Leases dropped before batch end (pool pressure).",
-                 io_stats.lease_revocations);
+#define OCTOPUS_EXPORT_PHASE(type, name, merge, unit, metric, help) \
+  reg.AddTableCounter(obs::CounterUnit::unit, metric, help, engine.name);
+#define OCTOPUS_EXPORT_PAGE_IO(type, name, merge, unit, metric, help) \
+  reg.AddTableCounter(obs::CounterUnit::unit, metric, help,          \
+                      engine.page_io.name);
+  OCTOPUS_PHASE_FIELDS(OCTOPUS_EXPORT_PHASE, OCTOPUS_EXPORT_PHASE)
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_EXPORT_PAGE_IO, OCTOPUS_EXPORT_PAGE_IO)
 
   const engine::EpochInfo current = backend_->CurrentEpoch();
   reg.AddGauge("octopus_current_epoch", "Newest published epoch id.",

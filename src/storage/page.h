@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/stats_fields.h"
+
 namespace octopus::storage {
 
 /// Index of a fixed-size page within a snapshot file. Page 0 is the
@@ -21,6 +23,23 @@ inline constexpr PageId kInvalidPageId = std::numeric_limits<PageId>::max();
 /// Default snapshot page size. 4 KiB matches the common filesystem block
 /// size; tests use smaller pages to force heavy paging on small meshes.
 inline constexpr size_t kDefaultPageBytes = 4096;
+
+/// The page-I/O counters, one line each:
+///   WIRE|LOCAL(type, name, merge rule, /metrics unit, /metrics name, help)
+/// WIRE lines ride the OCTP wire in line order: in the RESULT batch-stats
+/// block after the phase counters, and in STATS. `lease_revocations`
+/// (leases dropped before batch end under the per-accessor lease cap or
+/// pool pressure) is an operator-facing signal, not a result property.
+// clang-format off
+#define OCTOPUS_PAGE_IO_FIELDS(WIRE, LOCAL) \
+  WIRE(size_t, page_hits, kSum, kCount, "octopus_page_hits_total", "Priced page accesses served by the pool.") \
+  WIRE(size_t, page_misses, kSum, kCount, "octopus_page_misses_total", "Priced page accesses that read from disk.") \
+  WIRE(size_t, page_evictions, kSum, kCount, "octopus_page_evictions_total", "Pages evicted during query execution.") \
+  WIRE(size_t, lease_hits, kSum, kCount, "octopus_lease_hits_total", "Reads served free through a held lease.") \
+  WIRE(size_t, pages_leased, kSum, kCount, "octopus_pages_leased_total", "Lease acquisitions (first touch per batch).") \
+  WIRE(size_t, pages_distinct, kSum, kCount, "octopus_pages_distinct_total", "Distinct pages touched across batches.") \
+  LOCAL(size_t, lease_revocations, kSum, kCount, "octopus_lease_revocations_total", "Leases dropped before batch end (pool pressure).")
+// clang-format on
 
 /// \brief Per-context page-I/O counters.
 ///
@@ -39,28 +58,12 @@ inline constexpr size_t kDefaultPageBytes = 4096;
 /// count (summed over shards on merge, so overlapping shards may count a
 /// page once each).
 struct PageIOStats {
-  size_t page_hits = 0;       ///< accesses served from the buffer pool
-  size_t page_misses = 0;     ///< accesses that had to read from disk
-  size_t page_evictions = 0;  ///< resident pages dropped to make room
-  size_t lease_hits = 0;      ///< reads served from an already-held lease
-  size_t pages_leased = 0;    ///< lease acquisitions (first touch per batch)
-  size_t pages_distinct = 0;  ///< distinct pages touched (0 if leasing off)
-  /// Leases dropped before batch end: LRU revocation under the per-
-  /// accessor lease cap, or a wholesale release when pool pressure
-  /// degrades the accessor to transient pins. Not on the wire — an
-  /// operator-facing pressure signal (/metrics), not a result property.
-  size_t lease_revocations = 0;
+  OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_STATS_DECLARE, OCTOPUS_STATS_DECLARE)
 
   void Reset() { *this = PageIOStats{}; }
 
   void Merge(const PageIOStats& other) {
-    page_hits += other.page_hits;
-    page_misses += other.page_misses;
-    page_evictions += other.page_evictions;
-    lease_hits += other.lease_hits;
-    pages_leased += other.pages_leased;
-    pages_distinct += other.pages_distinct;
-    lease_revocations += other.lease_revocations;
+    OCTOPUS_PAGE_IO_FIELDS(OCTOPUS_STATS_MERGE, OCTOPUS_STATS_MERGE)
   }
 
   size_t PageAccesses() const { return page_hits + page_misses; }

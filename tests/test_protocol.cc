@@ -740,5 +740,127 @@ TEST(ProtocolCorpusTest, HttpSeedsNeverCrashTheRouter) {
   EXPECT_GE(ReplayCorpusDir(dir, fuzz::FuzzHttpRequest), 6u);
 }
 
+// --- Wire-position goldens -------------------------------------------
+//
+// tools/gen_fuzz_corpus.py packs these seeds with Python `struct`,
+// independently of the C++ codec. Round-trip tests cannot catch a field
+// reorder (encode and decode would move together); checking every field
+// by name against the generator's values, then re-encoding to the exact
+// seed bytes, pins each field's position on the wire.
+
+Buffer ReadSeed(const char* name) {
+  const std::filesystem::path path =
+      std::filesystem::path(OCTOPUS_SOURCE_DIR) / "fuzz" / "corpus" /
+      "protocol" / name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return Buffer((std::istreambuf_iterator<char>(in)),
+                std::istreambuf_iterator<char>());
+}
+
+TEST(ProtocolGoldenTest, StatsSeedFieldPositions) {
+  const Buffer seed = ReadSeed("stats.bin");
+  const SplitFrame frame = Split(seed);
+  ASSERT_EQ(frame.header.type, FrameType::kStats);
+  ServerStatsWire s;
+  ASSERT_TRUE(ParseStats(frame.payload, &s).ok());
+  // The generator packs range(18): field k carries the value k.
+  EXPECT_EQ(s.connections_accepted, 0u);
+  EXPECT_EQ(s.connections_active, 1u);
+  EXPECT_EQ(s.frames_received, 2u);
+  EXPECT_EQ(s.malformed_frames, 3u);
+  EXPECT_EQ(s.queries_received, 4u);
+  EXPECT_EQ(s.queries_rejected, 5u);
+  EXPECT_EQ(s.queries_executed, 6u);
+  EXPECT_EQ(s.batches_executed, 7u);
+  EXPECT_EQ(s.latency_p50_nanos, 8u);
+  EXPECT_EQ(s.latency_p95_nanos, 9u);
+  EXPECT_EQ(s.latency_p99_nanos, 10u);
+  EXPECT_EQ(s.page_hits, 11u);
+  EXPECT_EQ(s.page_misses, 12u);
+  EXPECT_EQ(s.page_evictions, 13u);
+  EXPECT_EQ(s.lease_hits, 14u);
+  EXPECT_EQ(s.pages_leased, 15u);
+  EXPECT_EQ(s.pages_distinct, 16u);
+  EXPECT_EQ(s.steps_applied, 17u);
+
+  Buffer encoded;
+  AppendStats(&encoded, s);
+  EXPECT_EQ(encoded, seed);
+}
+
+TEST(ProtocolGoldenTest, ResultSeedFieldPositions) {
+  const Buffer seed = ReadSeed("result_two_queries.bin");
+  const SplitFrame frame = Split(seed);
+  ASSERT_EQ(frame.header.type, FrameType::kResult);
+  uint64_t request_id = 0;
+  BatchStatsWire s;
+  std::vector<std::vector<VertexId>> per_query;
+  ASSERT_TRUE(ParseResult(frame.payload, &request_id, &s, &per_query).ok());
+  EXPECT_EQ(request_id, 42u);
+  EXPECT_EQ(s.probe_nanos, 1000);
+  EXPECT_EQ(s.walk_nanos, 2000);
+  EXPECT_EQ(s.crawl_nanos, 3000);
+  EXPECT_EQ(s.merge_nanos, 40);
+  EXPECT_EQ(s.queries, 2u);
+  EXPECT_EQ(s.probed_vertices, 64u);
+  EXPECT_EQ(s.walk_invocations, 2u);
+  EXPECT_EQ(s.walk_vertices, 640u);
+  EXPECT_EQ(s.crawl_edges, 1280u);
+  EXPECT_EQ(s.result_vertices, 99u);
+  EXPECT_EQ(s.page_hits, 12u);
+  EXPECT_EQ(s.page_misses, 3u);
+  EXPECT_EQ(s.page_evictions, 1u);
+  EXPECT_EQ(s.lease_hits, 8u);
+  EXPECT_EQ(s.pages_leased, 4u);
+  EXPECT_EQ(s.pages_distinct, 4u);
+  EXPECT_EQ(s.batch_queries, 2u);
+  EXPECT_EQ(s.batch_requests, 1u);
+  EXPECT_EQ(s.epoch.epoch, 5u);
+  EXPECT_EQ(s.epoch.step, 4u);
+  EXPECT_EQ(s.trace_id, 7u);
+  ASSERT_EQ(per_query.size(), 2u);
+  EXPECT_EQ(per_query[0], (std::vector<VertexId>{1, 2, 3}));
+  EXPECT_TRUE(per_query[1].empty());
+
+  Buffer encoded;
+  AppendResult(&encoded, request_id, s, per_query);
+  EXPECT_EQ(encoded, seed);
+}
+
+TEST(ProtocolGoldenTest, TraceDumpSeedFieldPositions) {
+  const Buffer seed = ReadSeed("trace_dump_one.bin");
+  const SplitFrame frame = Split(seed);
+  ASSERT_EQ(frame.header.type, FrameType::kTraceDump);
+  TraceDumpWire dump;
+  ASSERT_TRUE(ParseTraceDump(frame.payload, &dump).ok());
+  EXPECT_EQ(dump.total_recorded, 9u);
+  ASSERT_EQ(dump.records.size(), 1u);
+  const obs::QueryTraceRecord& r = dump.records[0];
+  EXPECT_EQ(r.trace_id, 7u);
+  EXPECT_EQ(r.session_id, 11u);
+  EXPECT_EQ(r.request_id, 42u);
+  EXPECT_EQ(r.epoch, 5u);
+  EXPECT_EQ(r.epoch_step, 4u);
+  EXPECT_EQ(r.queries, 1u);
+  EXPECT_EQ(r.batch_queries, 2u);
+  EXPECT_EQ(r.batch_requests, 1u);
+  EXPECT_EQ(r.arrival_nanos, 1);
+  EXPECT_EQ(r.queue_wait_nanos, 2);
+  EXPECT_EQ(r.probe_nanos, 3);
+  EXPECT_EQ(r.walk_nanos, 4);
+  EXPECT_EQ(r.crawl_nanos, 5);
+  EXPECT_EQ(r.merge_nanos, 6);
+  EXPECT_EQ(r.serialize_nanos, 7);
+  EXPECT_EQ(r.total_nanos, 28);
+  EXPECT_EQ(r.page_accesses, 12u);
+  EXPECT_EQ(r.lease_hits, 8u);
+  EXPECT_EQ(r.result_vertices, 99u);
+
+  Buffer encoded;
+  AppendTraceDump(&encoded, dump);
+  EXPECT_EQ(encoded, seed);
+}
+
 }  // namespace
 }  // namespace octopus::server
