@@ -69,6 +69,40 @@ void BM_SurfaceProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_SurfaceProbe);
 
+// Phase 1 of a coalesced batch on the batch path: one grid build over
+// the surface, then B grid probes of Fig. 5 A boxes. Arg = B. Items are
+// queries, so the per-item time compares with BM_SurfaceProbe's
+// per-query scan: B = 1 pays the whole build for one query, which is
+// the crossover the batch path accepts.
+void BM_OctopusBatchProbe(benchmark::State& state) {
+  const TetraMesh& mesh = BenchMesh();
+  SurfaceIndex surface_index;
+  surface_index.Build(mesh);
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  QueryGenerator gen(mesh);
+  Rng rng(11);
+  const std::vector<AABB> boxes = gen.MakeQueries(
+      &rng, static_cast<int>(state.range(0)), 0.0011, 0.0016);
+  ProbeGrid grid;
+  std::vector<VertexId> starts;
+  size_t probed = 0;
+  size_t probed_total = 0;
+  for (auto _ : state) {
+    grid.Build(accessor, surface, 1);
+    for (const AABB& box : boxes) {
+      benchmark::DoNotOptimize(
+          grid.Probe(accessor, surface, box, &starts, &probed));
+      probed_total += probed;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * boxes.size());
+  state.counters["probed_per_query"] = benchmark::Counter(
+      static_cast<double>(probed_total) /
+      static_cast<double>(state.iterations() * boxes.size()));
+}
+BENCHMARK(BM_OctopusBatchProbe)->Arg(1)->Arg(4)->Arg(16)->Arg(48)->Arg(88);
+
 void BM_OctopusQuery(benchmark::State& state) {
   const TetraMesh& mesh = BenchMesh();
   Octopus octo;

@@ -192,6 +192,9 @@ int main() {
     return 1;
   }
   const TetraMesh& mesh = mesh_result.Value();
+  SurfaceIndex surface_index;
+  surface_index.Build(mesh);
+  const size_t surface_vertices = surface_index.num_surface_vertices();
   std::printf("OCTOPUS network query service — loopback bench (%zu "
               "vertices)\n\n",
               mesh.num_vertices());
@@ -273,6 +276,12 @@ int main() {
     json.Field("latency_p50_us", p50);
     json.Field("latency_p95_us", p95);
     json.Field("latency_p99_us", p99);
+    // Deterministic probe cost: the candidates the batch-shared grid
+    // distance-tested, against the surface a scan tests per query
+    // (check_perf_smoke.py bounds their ratio).
+    json.Field("surface_vertices", static_cast<int64_t>(surface_vertices));
+    json.Field("probed_vertices",
+               static_cast<int64_t>(m.engine_total.probed_vertices));
     json.Field("page_hits",
                static_cast<int64_t>(m.engine_total.page_io.page_hits));
     json.Field("page_misses",
@@ -396,7 +405,7 @@ int main() {
     json.Field("scaling_qps_io4", qps_io4);
     json.Field("io_thread_scaling", scaling);
     json.EndObject();
-    std::printf("\nTracing overhead (warm paged, best of 2): %.3fx "
+    std::printf("\nTracing overhead (warm paged, best of 3): %.3fx "
                 "(%.4fs traced / %.4fs untraced)\n",
                 overhead, best_on, best_off);
     std::printf("I/O-thread scaling (16 clients, 4 vs 1 threads): %.2fx "

@@ -43,6 +43,10 @@ void ParsePayload(FrameType type, std::span<const uint8_t> payload) {
         // a mismatch would let a peer lie about its payload size.
         assert(payload.size() == server::kQueryBatchFixedBytes +
                                      boxes.size() * server::kQueryBoxBytes);
+        // Only finite boxes reach the engine.
+        for (const AABB& box : boxes) {
+          assert(box.IsFinite());
+        }
       }
       break;
     }

@@ -40,6 +40,8 @@ struct AABB {
     return min.x > max.x || min.y > max.y || min.z > max.z;
   }
 
+  bool IsFinite() const { return min.IsFinite() && max.IsFinite(); }
+
   constexpr Vec3 Center() const { return (min + max) * 0.5f; }
   constexpr Vec3 Extent() const { return max - min; }
 

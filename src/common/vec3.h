@@ -57,6 +57,11 @@ struct Vec3 {
   }
   constexpr bool operator!=(const Vec3& o) const { return !(*this == o); }
 
+  /// No NaN or infinite component.
+  bool IsFinite() const {
+    return std::isfinite(x) && std::isfinite(y) && std::isfinite(z);
+  }
+
   constexpr float Dot(const Vec3& o) const {
     return x * o.x + y * o.y + z * o.z;
   }

@@ -15,6 +15,7 @@
 #include "mesh/types.h"
 #include "octopus/crawler.h"
 #include "octopus/phase_stats.h"
+#include "octopus/probe_grid.h"
 #include "storage/paged_mesh.h"
 
 namespace octopus::engine {
@@ -85,6 +86,11 @@ class ContextPool {
 
   ExecutionContext* context(size_t i) { return contexts_[i].get(); }
 
+  /// The batch-shared surface-probe grid: rebuilt by each batch on the
+  /// calling thread before shards fork, read-only while they run. Its
+  /// buffers are reused across batches.
+  ProbeGrid* probe_grid() { return &probe_grid_; }
+
   /// Folds contexts `[0, shards)` into the aggregate, in shard order,
   /// and resets their local stats. The fold itself is the batch's merge
   /// phase; its wall clock lands in the aggregate's `merge_nanos` (the
@@ -103,9 +109,10 @@ class ContextPool {
   void ResetStats() { stats_.Reset(); }
 
   /// Scratch across every allocated context (honest accounting: after a
-  /// T-thread batch this is T crawlers' worth of memory, really held).
+  /// T-thread batch this is T crawlers' worth of memory, really held),
+  /// plus the probe grid's buffers.
   size_t ScratchBytes() const {
-    size_t bytes = 0;
+    size_t bytes = probe_grid_.FootprintBytes();
     for (const auto& context : contexts_) {
       if (context) bytes += context->ScratchBytes();
     }
@@ -116,6 +123,7 @@ class ContextPool {
   VisitedMode mode_ = VisitedMode::kEpochArray;
   size_t num_vertices_ = 0;
   std::vector<std::unique_ptr<ExecutionContext>> contexts_;
+  ProbeGrid probe_grid_;
   PhaseStats stats_;
 };
 

@@ -32,7 +32,7 @@ namespace octopus {
   WIRE(int64_t, crawl_nanos, kSum, kNanos, "octopus_engine_crawl_seconds_total", "Crawl phase wall clock.") \
   WIRE(int64_t, merge_nanos, kSum, kNanos, "octopus_engine_merge_seconds_total", "Batch-end stats-merge wall clock.") \
   WIRE(size_t, queries, kSum, kNone, "", "Queries executed.") \
-  WIRE(size_t, probed_vertices, kSum, kNone, "", "Surface vertices inspected.") \
+  WIRE(size_t, probed_vertices, kSum, kNone, "", "Surface vertices distance-tested by the probe.") \
   WIRE(size_t, walk_invocations, kSum, kNone, "", "Queries that needed a directed walk.") \
   WIRE(size_t, walk_vertices, kSum, kNone, "", "Vertices expanded during walks.") \
   WIRE(size_t, crawl_edges, kSum, kNone, "", "Adjacency entries inspected.") \

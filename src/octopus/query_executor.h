@@ -34,6 +34,7 @@
 #include "octopus/crawler.h"
 #include "octopus/directed_walk.h"
 #include "octopus/phase_stats.h"
+#include "octopus/probe_grid.h"
 #include "octopus/surface_index.h"
 
 namespace octopus {
@@ -56,8 +57,94 @@ struct OctopusOptions {
   VisitedMode visited_mode = VisitedMode::kEpochArray;
 };
 
-/// Core of Algorithm 1 over any mesh accessor: surface probe (with
-/// optional equidistant sampling) -> directed walk fallback -> crawl.
+namespace internal {
+
+/// Sampling stride of the surface probe (Sec. IV-H2 surface
+/// approximation): probing every `stride`-th vertex of the probe order is
+/// the paper's "equidistant sample" of the surface.
+inline size_t ProbeStride(const OctopusOptions& options) {
+  return options.surface_sample_fraction >= 1.0
+             ? 1
+             : std::max<size_t>(1, static_cast<size_t>(std::llround(
+                                       1.0 / options.surface_sample_fraction)));
+}
+
+/// Phase 1 as the paper states it (Sec. IV-C): a linear scan of every
+/// `stride`-th probe-order surface vertex. Fills `starts` with those
+/// inside `box` and returns the closest one as the fallback walk start
+/// (meaningful only when `starts` stays empty). `probed` receives the
+/// number of distance-tested vertices.
+template <storage::MeshAccessor Accessor>
+VertexId ScanSurface(Accessor& mesh, std::span<const VertexId> surface,
+                     size_t stride, const AABB& box,
+                     std::vector<VertexId>* starts, size_t* probed) {
+  starts->clear();
+  VertexId closest = kInvalidVertex;
+  float closest_d2 = std::numeric_limits<float>::max();
+  size_t count = 0;
+  for (size_t i = 0; i < surface.size(); i += stride) {
+    // `ProbePosition`, not `position`: out of core, undeformed probe
+    // positions come from index-resident data, so probing costs page
+    // accesses only for overlay-covered (deformed) pages.
+    const VertexId v = surface[i];
+    ++count;
+    const float d2 = box.SquaredDistanceTo(mesh.ProbePosition(i, v));
+    if (d2 == 0.0f) {
+      starts->push_back(v);
+    } else if (starts->empty() && d2 < closest_d2) {
+      closest_d2 = d2;
+      closest = v;
+    }
+  }
+  *probed = count;
+  return closest;
+}
+
+/// One query of Algorithm 1 with Phase 1 supplied by `probe(starts,
+/// probed)` (the scan or the batch's grid; both return the walk start):
+/// surface probe -> directed walk if the probe was dry -> crawl. Appends
+/// the result to `out` and accumulates into `context->stats`.
+template <storage::MeshAccessor Accessor, typename Probe>
+void RunQuery(Accessor& mesh, const AABB& box, const Probe& probe,
+              engine::ExecutionContext* context,
+              std::vector<VertexId>* out) {
+  Timer timer;
+  PhaseStats* stats = &context->stats;
+  ++stats->queries;
+
+  // --- Phase 1: surface probe (Sec. IV-C) ---
+  std::vector<VertexId>* starts = &context->start_scratch;
+  size_t probed = 0;
+  const VertexId closest = probe(starts, &probed);
+  stats->probed_vertices += probed;
+  stats->probe_nanos += timer.ElapsedNanos();
+
+  // --- Phase 2: directed walk (Sec. IV-D), only if the probe was dry ---
+  if (starts->empty()) {
+    timer.Restart();
+    ++stats->walk_invocations;
+    const WalkResult walk = DirectedWalk(mesh, box, closest);
+    stats->walk_vertices += walk.vertices_visited;
+    stats->walk_nanos += timer.ElapsedNanos();
+    if (!walk.ok()) {
+      return;  // query does not intersect the mesh: empty result
+    }
+    starts->push_back(walk.found);
+  }
+
+  // --- Phase 3: crawling (Sec. IV-B) ---
+  timer.Restart();
+  const CrawlStats crawl = context->crawler.Crawl(mesh, box, *starts, out);
+  stats->crawl_edges += crawl.edges_traversed;
+  stats->result_vertices += crawl.vertices_inside;
+  stats->crawl_nanos += timer.ElapsedNanos();
+}
+
+}  // namespace internal
+
+/// Algorithm 1 for one query over any mesh accessor, with the paper's
+/// scanning surface probe (optionally sampled, Sec. IV-H2). This is the
+/// single-query path and the reference the batch path is tested against.
 /// Appends the result to `out` and accumulates into `context->stats`.
 /// Re-entrant: concurrent calls are safe as long as each uses its own
 /// context and accessor (the backing store and surface index are only
@@ -67,76 +154,14 @@ void ExecuteOctopusQuery(Accessor& mesh, const SurfaceIndex& surface_index,
                          const OctopusOptions& options, const AABB& box,
                          engine::ExecutionContext* context,
                          std::vector<VertexId>* out) {
-  Timer timer;
-  PhaseStats* stats = &context->stats;
-  ++stats->queries;
-
-  // --- Phase 1: surface probe (Sec. IV-C) ---
-  // Scan the surface vertices in ascending-id order (streaming access over
-  // the position array); collect those inside the query as crawl starts,
-  // and track the closest one as a fallback walk start. Under surface
-  // approximation (Sec. IV-H2) only every `stride`-th vertex is probed —
-  // the paper's "equidistant sample" of the surface.
-  std::vector<VertexId>* start_scratch = &context->start_scratch;
-  start_scratch->clear();
-  const std::span<const VertexId> surface = surface_index.probe_order();
-  const size_t stride =
-      options.surface_sample_fraction >= 1.0
-          ? 1
-          : std::max<size_t>(
-                1, static_cast<size_t>(std::llround(
-                       1.0 / options.surface_sample_fraction)));
-  VertexId closest = kInvalidVertex;
-  float closest_d2 = std::numeric_limits<float>::max();
-  size_t probed = 0;
-  constexpr size_t kPrefetchAhead = 16;
-  for (size_t i = 0; i < surface.size(); i += stride) {
-    // The probe is a strided gather through the probe-order positions;
-    // software prefetch hides most of the per-entry miss latency. The
-    // probe-specific read path matters out of core: the paged accessor
-    // serves undeformed probe positions from index-resident data, so
-    // probing costs page accesses only for overlay-covered (deformed)
-    // pages.
-    if (i + kPrefetchAhead * stride < surface.size()) {
-      const size_t ahead = i + kPrefetchAhead * stride;
-      if constexpr (requires { mesh.PrefetchProbePosition(ahead,
-                                                          surface[ahead]); }) {
-        mesh.PrefetchProbePosition(ahead, surface[ahead]);
-      }
-    }
-    const VertexId v = surface[i];
-    ++probed;
-    const float d2 = box.SquaredDistanceTo(mesh.ProbePosition(i, v));
-    if (d2 == 0.0f) {
-      start_scratch->push_back(v);
-    } else if (start_scratch->empty() && d2 < closest_d2) {
-      closest_d2 = d2;
-      closest = v;
-    }
-  }
-  stats->probed_vertices += probed;
-  stats->probe_nanos += timer.ElapsedNanos();
-
-  // --- Phase 2: directed walk (Sec. IV-D), only if the probe was dry ---
-  if (start_scratch->empty()) {
-    timer.Restart();
-    ++stats->walk_invocations;
-    const WalkResult walk = DirectedWalk(mesh, box, closest);
-    stats->walk_vertices += walk.vertices_visited;
-    stats->walk_nanos += timer.ElapsedNanos();
-    if (!walk.ok()) {
-      return;  // query does not intersect the mesh: empty result
-    }
-    start_scratch->push_back(walk.found);
-  }
-
-  // --- Phase 3: crawling (Sec. IV-B) ---
-  timer.Restart();
-  const CrawlStats crawl =
-      context->crawler.Crawl(mesh, box, *start_scratch, out);
-  stats->crawl_edges += crawl.edges_traversed;
-  stats->result_vertices += crawl.vertices_inside;
-  stats->crawl_nanos += timer.ElapsedNanos();
+  const size_t stride = internal::ProbeStride(options);
+  internal::RunQuery(
+      mesh, box,
+      [&](std::vector<VertexId>* starts, size_t* probed) {
+        return internal::ScanSurface(mesh, surface_index.probe_order(),
+                                     stride, box, starts, probed);
+      },
+      context, out);
 }
 
 /// Batch core shared by every OCTOPUS executor (`Octopus`, `HexOctopus`,
@@ -149,6 +174,14 @@ void ExecuteOctopusQuery(Accessor& mesh, const SurfaceIndex& surface_index,
 /// accessor — by value for the free in-memory view, by reference for a
 /// context-owned paged accessor. Per-query results are independent of
 /// the shard count.
+///
+/// Phase 1 is batch-shared: before the fork, the calling thread bins the
+/// (sampled) probe positions into the pool's `ProbeGrid` through shard
+/// 0's accessor, and each query then tests only the cells its box covers
+/// (see octopus/probe_grid.h). Hits, walk starts and therefore results
+/// and walk/crawl counters equal the scan's; `probed_vertices` counts the
+/// grid's candidates, and the build pass is charged to `probe_nanos`. A
+/// box with a non-finite coordinate falls back to the scan.
 template <typename MakeAccessor>
 void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
                          const SurfaceIndex& surface_index,
@@ -167,6 +200,39 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
   // Contexts are created/sized on the calling thread, before forking.
   contexts->Ensure(shards);
 
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  const size_t stride = internal::ProbeStride(options);
+  ProbeGrid* grid = contexts->probe_grid();
+  // Shard 0's accessor is opened here, once, so the grid reads the very
+  // probe positions (epoch, overlay patches) the shards will read.
+  decltype(auto) first_accessor = make_accessor(contexts->context(0));
+  if (!boxes.empty()) {
+    Timer timer;
+    grid->Build(first_accessor, surface, stride);
+    contexts->context(0)->stats.probe_nanos += timer.ElapsedNanos();
+  }
+
+  auto run_queries = [&](auto& accessor, engine::ExecutionContext* context,
+                         size_t begin, size_t end) {
+    for (size_t q = begin; q < end; ++q) {
+      const AABB& box = boxes[q];
+      internal::RunQuery(
+          accessor, box,
+          [&](std::vector<VertexId>* starts, size_t* probed) {
+            return box.IsFinite()
+                       ? grid->Probe(accessor, surface, box, starts, probed)
+                       : internal::ScanSurface(accessor, surface, stride,
+                                               box, starts, probed);
+          },
+          context, &out->per_query[q]);
+    }
+    // Batch-scoped leases (paged accessors) are released before the
+    // shard retires: deterministic counters, and an idle accessor holds
+    // no pool resources between batches.
+    if constexpr (requires { accessor.EndBatch(); }) {
+      accessor.EndBatch();
+    }
+  };
   auto run_shard = [&](int shard) {
     // The pool always invokes one call per pool thread; threads beyond
     // the (batch-size-clamped) shard count have no work.
@@ -175,16 +241,11 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
     const size_t begin = boxes.size() * shard / shards;
     const size_t end = boxes.size() * (shard + 1) / shards;
     engine::ExecutionContext* context = contexts->context(shard);
-    decltype(auto) accessor = make_accessor(context);
-    for (size_t q = begin; q < end; ++q) {
-      ExecuteOctopusQuery(accessor, surface_index, options, boxes[q],
-                          context, &out->per_query[q]);
-    }
-    // Batch-scoped leases (paged accessors) are released before the
-    // shard retires: deterministic counters, and an idle accessor holds
-    // no pool resources between batches.
-    if constexpr (requires { accessor.EndBatch(); }) {
-      accessor.EndBatch();
+    if (shard == 0) {
+      run_queries(first_accessor, context, begin, end);
+    } else {
+      decltype(auto) accessor = make_accessor(context);
+      run_queries(accessor, context, begin, end);
     }
   };
 

@@ -390,6 +390,11 @@ Status ParseQueryBatch(std::span<const uint8_t> payload,
         !r.F32(&box.max.x) || !r.F32(&box.max.y) || !r.F32(&box.max.z)) {
       return Malformed("QUERY_BATCH truncated query");
     }
+    // NaN or infinite coordinates have no defined answer; an inverted
+    // box is legal (its answer is empty).
+    if (!box.IsFinite()) {
+      return Malformed("QUERY_BATCH box coordinate not finite");
+    }
     boxes->push_back(box);
   }
   return Status::OK();

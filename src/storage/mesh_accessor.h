@@ -79,10 +79,6 @@ class InMemoryMeshAccessor {
     __builtin_prefetch(graph_.positions.data() + v);
   }
 
-  void PrefetchProbePosition(size_t, VertexId v) const {
-    PrefetchPosition(v);
-  }
-
  private:
   MeshGraphView graph_;
 };

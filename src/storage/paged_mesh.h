@@ -209,10 +209,6 @@ class PagedMeshAccessor {
     return probe_positions_[rank];
   }
 
-  void PrefetchProbePosition(size_t rank, VertexId) {
-    __builtin_prefetch(probe_positions_ + rank);
-  }
-
   /// Real out-of-core prefetch: leases `v`'s position page ahead of
   /// demand — the crawl frontier walking a Hilbert-contiguous run pulls
   /// the next page before the first read lands on it. Strictly

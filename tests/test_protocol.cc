@@ -5,6 +5,7 @@
 // crash, never read out of bounds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -588,6 +589,41 @@ TEST(ProtocolTest, QueryBatchRejectsCountMismatch) {
       std::span<const uint8_t>(buffer).subspan(kFrameHeaderBytes);
   EXPECT_FALSE(
       ParseQueryBatch(payload, &request_id, &parsed, &epoch, &span).ok());
+}
+
+TEST(ProtocolTest, QueryBatchRejectsNonFiniteBoxes) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const AABB unit(Vec3(0, 0, 0), Vec3(1, 1, 1));
+  uint64_t request_id = 0;
+  uint64_t epoch = 0;
+  uint64_t span = 0;
+  std::vector<AABB> parsed;
+  // Each of the six coordinates, as NaN, +inf and -inf, after a good box.
+  for (int coordinate = 0; coordinate < 6; ++coordinate) {
+    for (const float bad : {std::nanf(""), kInf, -kInf}) {
+      AABB box = unit;
+      float* slots[6] = {&box.min.x, &box.min.y, &box.min.z,
+                         &box.max.x, &box.max.y, &box.max.z};
+      *slots[coordinate] = bad;
+      Buffer buffer;
+      AppendQueryBatch(&buffer, 1, std::vector<AABB>{unit, box});
+      const Status st = ParseQueryBatch(
+          std::span<const uint8_t>(buffer).subspan(kFrameHeaderBytes),
+          &request_id, &parsed, &epoch, &span);
+      EXPECT_FALSE(st.ok()) << "coordinate " << coordinate;
+      EXPECT_NE(st.ToString().find("not finite"), std::string::npos)
+          << st.ToString();
+    }
+  }
+  // An inverted box stays legal: its answer is defined (empty).
+  Buffer buffer;
+  AppendQueryBatch(&buffer, 1, std::vector<AABB>{AABB(unit.max, unit.min)});
+  ASSERT_TRUE(ParseQueryBatch(
+                  std::span<const uint8_t>(buffer).subspan(kFrameHeaderBytes),
+                  &request_id, &parsed, &epoch, &span)
+                  .ok());
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].min, unit.max);
 }
 
 TEST(ProtocolTest, QueryBatchRejectsTruncatedPayload) {

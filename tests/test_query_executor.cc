@@ -2,9 +2,15 @@
 // Property tests for the OCTOPUS executor: the central invariant is
 // exactness — OCTOPUS returns precisely the linear-scan result — across
 // mesh types, deformation steps and query shapes. Also covers the
-// surface-approximation accuracy trade-off and OCTOPUS-CON.
+// surface-approximation accuracy trade-off, OCTOPUS-CON, and the batch
+// path's grid probe against the paper's scanning probe.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <numeric>
+
+#include "engine/thread_pool.h"
 #include "mesh/generators/datasets.h"
 #include "mesh/generators/grid_generator.h"
 #include "octopus/octopus_con.h"
@@ -346,6 +352,340 @@ TEST(OctopusConTest, NoMaintenanceHooks) {
   const size_t footprint = con.FootprintBytes();
   con.BeforeQueries(mesh);  // must be a no-op
   EXPECT_EQ(con.FootprintBytes(), footprint);
+}
+
+// ---------- Batch-shared grid probe vs. the scanning probe ----------
+
+// Positions with no connectivity: enough for Phase 1, which only reads
+// the probe-order positions. Every vertex is a surface vertex, so a
+// vertex's id is its probe rank.
+struct PointCloud {
+  std::vector<Vec3> positions;
+  std::vector<uint32_t> offsets;
+  std::vector<VertexId> surface;
+
+  explicit PointCloud(std::vector<Vec3> p) : positions(std::move(p)) {
+    offsets.assign(positions.size() + 1, 0);
+    surface.resize(positions.size());
+    std::iota(surface.begin(), surface.end(), VertexId{0});
+  }
+  storage::InMemoryMeshAccessor accessor() const {
+    return storage::InMemoryMeshAccessor(
+        MeshGraphView{positions, offsets, std::span<const VertexId>()});
+  }
+};
+
+// The grid must return the scan's hits in the scan's order and, for a
+// dry box, the scan's walk start.
+template <typename Accessor>
+void ExpectGridMatchesScan(Accessor& mesh, std::span<const VertexId> surface,
+                           size_t stride, const ProbeGrid& grid,
+                           const AABB& box) {
+  std::vector<VertexId> scan_starts;
+  std::vector<VertexId> grid_starts;
+  size_t scanned = 0;
+  size_t probed = 0;
+  const VertexId scan_closest = internal::ScanSurface(
+      mesh, surface, stride, box, &scan_starts, &scanned);
+  const VertexId grid_closest =
+      grid.Probe(mesh, surface, box, &grid_starts, &probed);
+  ASSERT_EQ(grid_starts, scan_starts) << box;
+  if (scan_starts.empty()) {
+    ASSERT_EQ(grid_closest, scan_closest) << box;
+  }
+  EXPECT_LE(probed, scanned) << box;
+}
+
+TEST(GridProbeTest, MatchesScanOnDeformedNeuroBatches) {
+  TetraMesh mesh = MakeNeuroMesh(1, 0.2).MoveValue();
+  SurfaceIndex surface_index;
+  surface_index.Build(mesh);
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  RandomDeformer deformer(0.3f * EstimateMeanEdgeLength(mesh), /*seed=*/5);
+  deformer.Bind(mesh);
+  QueryGenerator gen(mesh);
+  Rng rng(13);
+  ProbeGrid grid;
+  size_t dry = 0;
+  size_t total = 0;
+  for (int step = 1; step <= 3; ++step) {
+    deformer.ApplyStep(step, &mesh);
+    storage::InMemoryMeshAccessor accessor(mesh.Graph());
+    for (const size_t stride : {size_t{1}, size_t{3}, size_t{10}}) {
+      SCOPED_TRACE("step " + std::to_string(step) + " stride " +
+                   std::to_string(stride));
+      grid.Build(accessor, surface, stride);
+      for (const BenchmarkSpec& row : NeuroscienceBenchmarks()) {
+        for (const AABB& box :
+             gen.MakeQueries(&rng, 48, row.selectivity_min,
+                             row.selectivity_max)) {
+          ExpectGridMatchesScan(accessor, surface, stride, grid, box);
+          std::vector<VertexId> starts;
+          size_t probed = 0;
+          grid.Probe(accessor, surface, box, &starts, &probed);
+          dry += starts.empty();
+          ++total;
+        }
+      }
+    }
+  }
+  // Both probe outcomes are exercised.
+  EXPECT_GT(dry, 0u);
+  EXPECT_LT(dry, total);
+}
+
+TEST(GridProbeTest, BatchPathEqualsSingleQueryPath) {
+  // End to end through `ExecuteOctopusBatch`, sequential and sharded:
+  // results and every non-timing counter equal the scanning path's;
+  // only `probed_vertices` shrinks.
+  TetraMesh mesh = MakeNeuroMesh(1, 0.2).MoveValue();
+  Octopus octopus;
+  octopus.Build(mesh);
+  RandomDeformer deformer(0.3f * EstimateMeanEdgeLength(mesh), /*seed=*/9);
+  deformer.Bind(mesh);
+  deformer.ApplyStep(1, &mesh);
+  QueryGenerator gen(mesh);
+  Rng rng(17);
+  std::vector<AABB> boxes = gen.MakeQueries(&rng, 64, 0.0002, 0.0018);
+  // Non-finite boxes take the scan; an inverted box is empty.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  boxes.push_back(AABB(Vec3(-kInf, -kInf, -kInf), Vec3(kInf, kInf, kInf)));
+  boxes.push_back(AABB(Vec3(0, 0, std::nanf("")), Vec3(1, 1, 1)));
+  boxes.push_back(AABB(boxes[0].max, boxes[0].min));
+
+  std::vector<std::vector<VertexId>> expected;
+  for (const AABB& box : boxes) {
+    expected.emplace_back();
+    octopus.RangeQuery(mesh, box, &expected.back());
+  }
+  const PhaseStats scan_stats = octopus.stats();
+  EXPECT_TRUE(expected[boxes.size() - 1].empty());
+
+  const size_t footprint_before_batch = octopus.FootprintBytes();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    engine::ThreadPool pool(threads);
+    octopus.ResetStats();
+    engine::QueryBatchResult results;
+    octopus.RangeQueryBatch(mesh, boxes, &results,
+                            threads > 1 ? &pool : nullptr);
+    for (size_t q = 0; q < boxes.size(); ++q) {
+      EXPECT_EQ(results.per_query[q], expected[q]) << "query " << q;
+    }
+    const PhaseStats& stats = octopus.stats();
+    EXPECT_EQ(stats.queries, scan_stats.queries);
+    EXPECT_EQ(stats.walk_invocations, scan_stats.walk_invocations);
+    EXPECT_EQ(stats.walk_vertices, scan_stats.walk_vertices);
+    EXPECT_EQ(stats.crawl_edges, scan_stats.crawl_edges);
+    EXPECT_EQ(stats.result_vertices, scan_stats.result_vertices);
+    EXPECT_LT(stats.probed_vertices, scan_stats.probed_vertices / 4);
+    if (threads == 1) {
+      // The grid's buffers stay held between batches and are counted
+      // (Fig. 10(b) accounting): 4 bytes of rank per surface vertex,
+      // plus the cells.
+      EXPECT_GT(octopus.FootprintBytes(),
+                footprint_before_batch +
+                    4 * octopus.surface_index().num_surface_vertices());
+    }
+    // A warm batch reuses every buffer: nothing grows.
+    const size_t warm_footprint = octopus.FootprintBytes();
+    octopus.RangeQueryBatch(mesh, boxes, &results,
+                            threads > 1 ? &pool : nullptr);
+    EXPECT_EQ(octopus.FootprintBytes(), warm_footprint);
+  }
+}
+
+TEST(GridProbeTest, BoxesOutsideTheSurfaceBounds) {
+  const TetraMesh mesh = MakeNeuroMesh(1, 0.2).MoveValue();
+  SurfaceIndex surface_index;
+  surface_index.Build(mesh);
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  ProbeGrid grid;
+  grid.Build(accessor, surface, 1);
+  AABB bounds;
+  for (VertexId v : surface) bounds.Extend(mesh.position(v));
+  const Vec3 extent = bounds.Extent();
+  const Vec3 size = extent * 0.05f;
+  auto axis = [](Vec3& v, int a) -> float& {
+    return a == 0 ? v.x : a == 1 ? v.y : v.z;
+  };
+  // Just past, and far past, each of the six faces, then a corner.
+  for (const float gap : {0.01f, 0.5f, 3.0f}) {
+    for (int a = 0; a < 3; ++a) {
+      Vec3 e = extent;
+      Vec3 s = size;
+      Vec3 low = bounds.min;
+      Vec3 high = bounds.max;
+      Vec3 past_low = bounds.Center() - size * 0.5f;
+      Vec3 past_high = past_low;
+      axis(past_low, a) = axis(low, a) - gap * axis(e, a) - axis(s, a);
+      axis(past_high, a) = axis(high, a) + gap * axis(e, a);
+      ExpectGridMatchesScan(accessor, surface, 1, grid,
+                            AABB(past_low, past_low + size));
+      ExpectGridMatchesScan(accessor, surface, 1, grid,
+                            AABB(past_high, past_high + size));
+    }
+    const Vec3 corner = bounds.max + extent * gap;
+    const AABB corner_box(corner, corner + size);
+    ExpectGridMatchesScan(accessor, surface, 1, grid, corner_box);
+    // Far out, the distance to the grid's bounds ends the shell search
+    // long before it sweeps the whole surface.
+    std::vector<VertexId> starts;
+    size_t probed = 0;
+    grid.Probe(accessor, surface, corner_box, &starts, &probed);
+    EXPECT_LT(probed, surface.size() / 4) << "gap " << gap;
+  }
+}
+
+TEST(GridProbeTest, FlatSurface) {
+  Rng rng(23);
+  std::vector<Vec3> points;
+  for (int i = 0; i < 400; ++i) {
+    points.push_back(Vec3(rng.NextFloat(0, 1), rng.NextFloat(0, 1), 0.5f));
+  }
+  const PointCloud cloud(std::move(points));
+  auto accessor = cloud.accessor();
+  ProbeGrid grid;
+  grid.Build(accessor, cloud.surface, 1);
+  EXPECT_EQ(grid.dims()[2], 1);
+  EXPECT_GT(grid.dims()[0] * grid.dims()[1], 1);
+  for (int i = 0; i < 200; ++i) {
+    const Vec3 lo(rng.NextFloat(-0.2f, 1.1f), rng.NextFloat(-0.2f, 1.1f),
+                  rng.NextFloat(0.0f, 1.0f));
+    const Vec3 size(rng.NextFloat(0, 0.2f), rng.NextFloat(0, 0.2f),
+                    rng.NextFloat(0, 0.2f));
+    ExpectGridMatchesScan(accessor, cloud.surface, 1, grid,
+                          AABB(lo, lo + size));
+  }
+}
+
+// A cloud whose grid is exactly 10x10x10 unit cells over [0, 10]^3:
+// 2000 finite points (1000 cells at 2 per cell) spanning the cube, with
+// the `points` given first (ranks 0..) and the padding piled on the far
+// corner (10, 10, 10).
+PointCloud MakeUnitCellCloud(std::vector<Vec3> points) {
+  points.push_back(Vec3(0, 0, 0));
+  while (points.size() < 2000) points.push_back(Vec3(10, 10, 10));
+  return PointCloud(std::move(points));
+}
+
+TEST(GridProbeTest, EqualDistanceTieGoesToTheLowerRank) {
+  const Vec3 pad(10, 10, 10);
+  // Ranks 1 and 3 lie at exactly the same distance (1.75, dyadic) from
+  // the box, in the same shell: the scan keeps rank 1, and so must the
+  // grid, whichever of the two cells it reaches first.
+  const PointCloud cloud = MakeUnitCellCloud(
+      {pad, Vec3(2.5f, 4.5f, 4.5f), pad, Vec3(6.5f, 4.5f, 4.5f)});
+  auto accessor = cloud.accessor();
+  ProbeGrid grid;
+  grid.Build(accessor, cloud.surface, 1);
+  ASSERT_EQ(grid.dims(), (std::array<int, 3>{10, 10, 10}));
+  const AABB box(Vec3(4.25f, 4.25f, 4.25f), Vec3(4.75f, 4.75f, 4.75f));
+  std::vector<VertexId> starts;
+  size_t probed = 0;
+  EXPECT_EQ(grid.Probe(accessor, cloud.surface, box, &starts, &probed), 1u);
+  ExpectGridMatchesScan(accessor, cloud.surface, 1, grid, box);
+  // Mirrored: now rank 1 sits in the cell the search reaches last.
+  const PointCloud mirrored = MakeUnitCellCloud(
+      {pad, Vec3(6.5f, 4.5f, 4.5f), pad, Vec3(2.5f, 4.5f, 4.5f)});
+  auto mirrored_accessor = mirrored.accessor();
+  grid.Build(mirrored_accessor, mirrored.surface, 1);
+  EXPECT_EQ(
+      grid.Probe(mirrored_accessor, mirrored.surface, box, &starts, &probed),
+      1u);
+}
+
+TEST(GridProbeTest, NearestJustPastAShellBoundary) {
+  // Box in cell (2,2,2). Shell 1 (cells 1..3) holds a decoy at squared
+  // distance 2 * 1.7^2 = 5.78; the true nearest sits in shell 2 at
+  // x = 4.05, just past the shell-1/shell-2 boundary, squared distance
+  // 1.85^2 = 3.42. After shell 1 nothing outside cells 1..3 is provably
+  // farther than the decoy (x >= 4 is only 1.8 away), so the search
+  // must open shell 2; a search that stopped one shell early (bounding
+  // by cells 0..4, i.e. x >= 5, 2.8 away) would return the decoy.
+  const PointCloud cloud = MakeUnitCellCloud(
+      {Vec3(3.9f, 3.9f, 2.15f), Vec3(4.05f, 2.15f, 2.15f)});
+  auto accessor = cloud.accessor();
+  ProbeGrid grid;
+  grid.Build(accessor, cloud.surface, 1);
+  ASSERT_EQ(grid.dims(), (std::array<int, 3>{10, 10, 10}));
+  const AABB box(Vec3(2.1f, 2.1f, 2.1f), Vec3(2.2f, 2.2f, 2.2f));
+  std::vector<VertexId> starts;
+  size_t probed = 0;
+  EXPECT_EQ(grid.Probe(accessor, cloud.surface, box, &starts, &probed), 1u);
+  ExpectGridMatchesScan(accessor, cloud.surface, 1, grid, box);
+}
+
+TEST(GridProbeTest, EmptySurface) {
+  const PointCloud cloud({});
+  auto accessor = cloud.accessor();
+  ProbeGrid grid;
+  grid.Build(accessor, cloud.surface, 1);
+  std::vector<VertexId> starts;
+  size_t probed = 1;
+  EXPECT_EQ(grid.Probe(accessor, cloud.surface,
+                       AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)), &starts, &probed),
+            kInvalidVertex);
+  EXPECT_TRUE(starts.empty());
+  EXPECT_EQ(probed, 0u);
+}
+
+TEST(GridProbeTest, NonFinitePositionsAreNeverHitsOrStarts) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = std::nanf("");
+  Rng rng(29);
+  std::vector<Vec3> points;
+  for (int i = 0; i < 600; ++i) {
+    Vec3 p = rng.NextPointIn(AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+    switch (i % 7) {
+      case 1: p.x = nan; break;
+      case 3: p.y = kInf; break;
+      case 5: p.z = -kInf; break;
+      default: break;
+    }
+    points.push_back(p);
+  }
+  const PointCloud cloud(std::move(points));
+  auto accessor = cloud.accessor();
+  ProbeGrid grid;
+  for (const size_t stride : {size_t{1}, size_t{3}}) {
+    grid.Build(accessor, cloud.surface, stride);
+    for (int i = 0; i < 200; ++i) {
+      const Vec3 lo(rng.NextFloat(-0.5f, 1.2f), rng.NextFloat(-0.5f, 1.2f),
+                    rng.NextFloat(-0.5f, 1.2f));
+      const float s = rng.NextFloat(0, 0.3f);
+      ExpectGridMatchesScan(accessor, cloud.surface, stride, grid,
+                            AABB(lo, lo + Vec3(s, s, s)));
+    }
+  }
+  // All positions non-finite: no hit, no walk start.
+  const PointCloud none({Vec3(nan, 0, 0), Vec3(kInf, 1, 1)});
+  auto none_accessor = none.accessor();
+  grid.Build(none_accessor, none.surface, 1);
+  ExpectGridMatchesScan(none_accessor, none.surface, 1, grid,
+                        AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+}
+
+TEST(GridProbeTest, InvertedBoxesFindTheScansWalkStart) {
+  const TetraMesh mesh = MakeNeuroMesh(1, 0.2).MoveValue();
+  SurfaceIndex surface_index;
+  surface_index.Build(mesh);
+  const std::span<const VertexId> surface = surface_index.probe_order();
+  storage::InMemoryMeshAccessor accessor(mesh.Graph());
+  ProbeGrid grid;
+  grid.Build(accessor, surface, 1);
+  QueryGenerator gen(mesh);
+  Rng rng(31);
+  for (int i = 0; i < 60; ++i) {
+    AABB box = gen.MakeQuery(&rng, 0.0005 + 0.002 * rng.NextDouble());
+    // Swap min and max on a nonempty subset of the axes.
+    const int mask = 1 + static_cast<int>(rng.NextBelow(7));
+    if (mask & 1) std::swap(box.min.x, box.max.x);
+    if (mask & 2) std::swap(box.min.y, box.max.y);
+    if (mask & 4) std::swap(box.min.z, box.max.z);
+    ExpectGridMatchesScan(accessor, surface, 1, grid, box);
+  }
 }
 
 }  // namespace

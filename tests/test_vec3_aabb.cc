@@ -2,6 +2,9 @@
 // Unit tests for the Vec3 / AABB geometric substrate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/aabb.h"
 #include "common/rng.h"
 #include "common/vec3.h"
@@ -48,6 +51,16 @@ TEST(Vec3Test, MinMax) {
 TEST(Vec3Test, Distance) {
   EXPECT_FLOAT_EQ(Distance(Vec3(0, 0, 0), Vec3(1, 2, 2)), 3.0f);
   EXPECT_FLOAT_EQ(SquaredDistance(Vec3(0, 0, 0), Vec3(1, 2, 2)), 9.0f);
+}
+
+TEST(AABBTest, IsFiniteRejectsNanAndInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)).IsFinite());
+  EXPECT_TRUE(AABB(Vec3(1, 1, 1), Vec3(0, 0, 0)).IsFinite());  // inverted
+  EXPECT_TRUE(AABB().IsFinite());  // empty: +-FLT_MAX, still finite
+  EXPECT_FALSE(AABB(Vec3(0, std::nanf(""), 0), Vec3(1, 1, 1)).IsFinite());
+  EXPECT_FALSE(AABB(Vec3(0, 0, 0), Vec3(1, 1, inf)).IsFinite());
+  EXPECT_FALSE(AABB(Vec3(-inf, 0, 0), Vec3(1, 1, 1)).IsFinite());
 }
 
 TEST(AABBTest, DefaultIsEmpty) {

@@ -23,6 +23,12 @@ When also given BENCH_server.json, additionally enforces:
     one 136-byte record append per request behind a predictable branch;
     it must stay within 5% of free or it is not a flight recorder any
     more.
+  * probed vertices per query — on every config record, the surface
+    candidates the engine distance-tested per query, against the
+    surface size a linear-scan probe tests. Deterministic (pure
+    counters): the batch-shared grid probe tests ~1/30 of the surface
+    per query at bench scales 0.2 to 1, so more than 1/8 means it
+    degraded towards the full scan.
 
 Usage: check_perf_smoke.py [BENCH_dynamic.json] [BENCH_server.json]
 """
@@ -33,11 +39,37 @@ import sys
 MAX_ACCESS_OVER_DISTINCT = 2.0
 MAX_PAGED_OVER_IN_MEMORY = 3.0
 MAX_TRACING_OVERHEAD = 1.05
+MAX_PROBED_SHARE_OF_SURFACE = 1.0 / 8
+
+
+def check_probe(records: list, path: str, failures: list) -> None:
+    configs = [r for r in records if "probed_vertices" in r]
+    if not configs:
+        failures.append(f"no config record in {path} has probed_vertices")
+        return
+    worst = 0.0
+    for r in configs:
+        queries = r.get("queries_executed", 0)
+        surface = r.get("surface_vertices", 0)
+        if queries <= 0 or surface <= 0:
+            failures.append(f"{r.get('name')}: no queries or no surface")
+            continue
+        share = r["probed_vertices"] / queries / surface
+        worst = max(worst, share)
+        if share > MAX_PROBED_SHARE_OF_SURFACE:
+            failures.append(
+                f"{r.get('name')}: {r['probed_vertices'] / queries:.0f} "
+                f"probed vertices per query of {surface} surface vertices "
+                f"(bound 1/{1 / MAX_PROBED_SHARE_OF_SURFACE:.0f}): the "
+                f"probe is scanning the surface again")
+    print(f"  probed share of surface   = {worst:.3f} worst of "
+          f"{len(configs)} configs (bound {MAX_PROBED_SHARE_OF_SURFACE:.3f})")
 
 
 def check_server(path: str, failures: list) -> None:
     with open(path) as f:
         records = json.load(f)
+    check_probe(records, path, failures)
     summaries = [r for r in records if r.get("name") == "server_summary"]
     if len(summaries) != 1:
         failures.append(f"expected one server_summary record in {path}, "

@@ -93,6 +93,8 @@ def protocol_seeds():
         "query_batch_historic": query_batch(44, [box], epoch=5,
                                             span_id=0xABCDEF),
         "query_batch_count_lie": query_batch(45, [box], count=3),
+        "query_batch_nan_box": query_batch(46, [box, (0.0, float("nan"),
+                                                      0.0, 1.0, 1.0, 1.0)]),
         "result_two_queries": result(42, [[1, 2, 3], []]),
         "stats_request": frame(STATS_REQUEST),
         "stats": frame(STATS, struct.pack("<18Q", *range(18))),
