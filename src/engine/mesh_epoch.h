@@ -2,11 +2,11 @@
 // Epoch identity of a dynamic mesh: every published position state of a
 // versioned backend carries one. Queries pin an epoch and execute
 // entirely against it (copy-on-write publication, see
-// sim/versioned_mesh.h), so a result set is always internally consistent
-// — no torn positions — while the spatial structures (surface index,
-// octree) stay stale per the paper's central claim. Lives at the engine
-// layer so batch results can carry it without depending on sim/ or
-// server/.
+// server/versioned_backend.h), so a result set is always internally
+// consistent — no torn positions — while the spatial structures
+// (surface index, octree) stay stale per the paper's central claim.
+// Lives at the engine layer so batch results can carry it without
+// depending on sim/ or server/.
 #ifndef OCTOPUS_ENGINE_MESH_EPOCH_H_
 #define OCTOPUS_ENGINE_MESH_EPOCH_H_
 

@@ -31,9 +31,9 @@
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "common/vec3.h"
 #include "engine/mesh_epoch.h"
 #include "obs/event_journal.h"
-#include "sim/versioned_mesh.h"
 #include "storage/delta_overlay.h"
 #include "storage/epoch_spill.h"
 
@@ -61,6 +61,15 @@ struct EpochRetentionOptions {
   /// Rejects windows that cannot hold a single epoch and inconsistent
   /// caps — the validation `octopus_cli serve` applies up front.
   Status Validate() const;
+};
+
+/// \brief One published, immutable in-memory position state: a full
+/// copy of the simulation mesh's positions at one step. Connectivity
+/// never changes under deformation, so epochs version positions only
+/// and share the loaded mesh's adjacency.
+struct PositionEpoch {
+  engine::EpochInfo info;
+  std::vector<Vec3> positions;
 };
 
 /// \brief What a query pins: one epoch's identity plus its position

@@ -4,12 +4,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <span>
 #include <utility>
 
 #include "mesh/mesh_io.h"
 #include "storage/file_util.h"
 #include "storage/page.h"
+#include "storage/paged_mesh.h"
 
 namespace octopus::server {
 
@@ -41,27 +41,6 @@ Status ReadAllPositions(const std::string& path,
   return Status::OK();
 }
 
-/// Mean edge length through the paged store (amplitude default when the
-/// spec left it unresolved): a bounded vertex sample read through a
-/// throwaway accessor.
-float EstimateMeanEdgeLengthPaged(const storage::PagedMeshStore& store,
-                                  std::span<const Vec3> positions) {
-  storage::PageIOStats scratch_stats;
-  storage::PagedMeshAccessor accessor(&store, &scratch_stats);
-  const size_t v_count = store.num_vertices();
-  const size_t stride = std::max<size_t>(1, v_count / 1024);
-  double total = 0.0;
-  size_t edges = 0;
-  for (size_t v = 0; v < v_count; v += stride) {
-    const Vec3 p = positions[v];
-    for (VertexId n : accessor.neighbors(static_cast<VertexId>(v))) {
-      total += Distance(p, positions[n]);
-      ++edges;
-    }
-  }
-  return edges == 0 ? 0.0f : static_cast<float>(total / edges);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<VersionedBackend>> VersionedBackend::OpenMeshFile(
@@ -75,10 +54,16 @@ std::unique_ptr<VersionedBackend> VersionedBackend::FromMesh(TetraMesh mesh,
                                                              int threads) {
   std::unique_ptr<VersionedBackend> backend(new VersionedBackend(threads));
   backend->num_vertices_ = mesh.num_vertices();
-  backend->mesh_ = std::make_unique<VersionedMesh>(std::move(mesh));
-  // The one-time build the paper prices: after this the index is never
-  // maintained, however many steps the mesh advances.
-  backend->surface_index_.Build(backend->mesh_->base());
+  {
+    // Load-time only: no stepper exists yet; the lock is for the
+    // thread-safety analysis (the mesh is guarded by step_mu_).
+    common::MutexLock step_lock(backend->step_mu_);
+    backend->sim_mesh_ = std::move(mesh);
+    backend->base_graph_ = backend->sim_mesh_.Graph();
+    // The one-time build the paper prices: after this the index is
+    // never maintained, however many steps the mesh advances.
+    backend->surface_index_.Build(backend->sim_mesh_);
+  }
   backend->contexts_.set_num_vertices(backend->num_vertices_);
   return backend;
 }
@@ -124,90 +109,79 @@ Status VersionedBackend::BindDeformer(const DeformerSpec& spec) {
   OCTOPUS_RETURN_NOT_OK(store->Init());
   store->AttachJournal(journal_);
 
-  if (mesh_ != nullptr) {
-    OCTOPUS_RETURN_NOT_OK(mesh_->BindDeformer(spec));
-    store->Publish(
-        PinnedEpochState{engine::EpochInfo{1, 0}, nullptr, mesh_->Pin()});
-    store_ = std::move(store);
-    dynamic_.store(true, std::memory_order_release);
-    return Status::OK();
-  }
-
-  // Paged path: materialize the simulation-side position state (the
-  // black-box solver's working copy), bind the deformer to it, and
-  // publish epoch 1 with no overlay (the base file IS the initial
-  // state; id 0 stays the wire's "current" sentinel).
-  const storage::SnapshotHeader& header = paged_->store().header();
-  std::vector<Vec3> positions;
-  OCTOPUS_RETURN_NOT_OK(
-      ReadAllPositions(snapshot_path_, header, &positions));
-  DeformerSpec resolved = spec;
-  auto deformer = MakeDeformerResolving(
-      &resolved, EstimateMeanEdgeLengthPaged(paged_->store(), positions));
-  if (!deformer.ok()) return deformer.status();
-
-  {
-    // Init-time write; no stepper exists yet, the lock is for the
-    // thread-safety analysis (the field is guarded by step_mu_).
-    common::MutexLock step_lock(step_mu_);
+  common::MutexLock step_lock(step_mu_);
+  // Where the simulation positions come from: in memory, the loaded
+  // mesh itself; paged, the black-box solver's working copy read from
+  // the snapshot, with the mean edge length sampled through a throwaway
+  // accessor over the snapshot's adjacency.
+  float mean_edge_length = 0.0f;
+  if (paged_ == nullptr) {
+    mean_edge_length = EstimateMeanEdgeLength(sim_mesh_);
+  } else {
+    std::vector<Vec3> positions;
+    OCTOPUS_RETURN_NOT_OK(ReadAllPositions(
+        snapshot_path_, paged_->store().header(), &positions));
+    storage::PageIOStats scratch_stats;
+    storage::PagedMeshAccessor adjacency(&paged_->store(), &scratch_stats);
+    mean_edge_length = EstimateMeanEdgeLength(
+        positions, [&adjacency](VertexId v) { return adjacency.neighbors(v); });
     paged_prev_positions_ = positions;
+    sim_mesh_ = TetraMesh(std::move(positions), std::vector<Tet>{});
   }
-  paged_sim_mesh_ =
-      std::make_unique<TetraMesh>(std::move(positions), std::vector<Tet>{});
-  paged_deformer_ = deformer.MoveValue();
-  paged_deformer_->Bind(*paged_sim_mesh_);
-  paged_spec_ = resolved;
-  store->Publish(
-      PinnedEpochState{engine::EpochInfo{1, 0}, nullptr, nullptr});
+  DeformerSpec resolved = spec;
+  auto deformer = MakeDeformerResolving(&resolved, mean_edge_length);
+  if (!deformer.ok()) return deformer.status();
+  deformer_ = deformer.MoveValue();
+  deformer_->Bind(sim_mesh_);
+  spec_ = resolved;
+
+  // Epoch ids start at 1: the wire reserves 0 for "whatever is
+  // current", so id 1 keeps the initial (step-0) state addressable
+  // after later steps supersede it. In memory that state is a copy of
+  // the loaded positions, so queries stop reading the array the stepper
+  // mutates; paged, the base file IS the initial state (no overlay).
+  PinnedEpochState initial{engine::EpochInfo{1, 0}, nullptr, nullptr};
+  if (paged_ == nullptr) {
+    initial.positions = std::make_shared<const PositionEpoch>(
+        PositionEpoch{initial.info, sim_mesh_.positions()});
+  }
+  store->Publish(std::move(initial));
   store_ = std::move(store);
   dynamic_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
-DeformerKind VersionedBackend::deformer_kind() const {
-  if (!dynamic()) return DeformerKind::kNone;
-  return mesh_ != nullptr ? mesh_->deformer_kind() : paged_spec_.kind;
-}
-
 engine::EpochInfo VersionedBackend::AdvanceStep() {
   assert(dynamic() && "AdvanceStep requires a bound deformer");
   common::MutexLock step_lock(step_mu_);
-
-  if (mesh_ != nullptr) {
-    const engine::EpochInfo info = mesh_->AdvanceStep();
-    if (journal_ != nullptr) {
-      journal_->Emit(obs::EventKind::kStepApplied, 0, 0, info.step, 0);
-    }
-    // Mirror the publication into the history store; the store is what
-    // queries (current and historical) actually read, so this is the
-    // externally visible publication point — one atomic swap inside.
-    store_->Publish(PinnedEpochState{info, nullptr, mesh_->Pin()});
-    return info;
-  }
-
   const std::optional<PinnedEpochState> prev = store_->PinNewest();
-  engine::EpochInfo info;
-  info.epoch = prev->info.epoch + 1;
-  info.step = prev->info.step + 1;
-  // SIMULATE: O(V) deformation of the live array, outside any lock the
-  // query path takes.
-  paged_deformer_->ApplyStep(static_cast<int>(info.step),
-                             paged_sim_mesh_.get());
-  // Delta pages: rewrite only position pages whose bytes changed;
-  // unchanged pages are shared with the previous epoch (or stay in the
-  // base file). Adjacency and surface pages are never touched.
+  PinnedEpochState next;
+  next.info = engine::EpochInfo{prev->info.epoch + 1, prev->info.step + 1};
+  // SIMULATE: O(V) in-place deformation of the simulation mesh, outside
+  // any lock the query path takes (queries read published states only).
+  deformer_->ApplyStep(static_cast<int>(next.info.step), &sim_mesh_);
   size_t rewritten = 0;
-  std::shared_ptr<const storage::PositionOverlay> overlay =
-      storage::PositionOverlay::BuildNext(
-          paged_->store().header(), prev->overlay.get(),
-          paged_prev_positions_, paged_sim_mesh_->positions(), &rewritten);
-  paged_prev_positions_ = paged_sim_mesh_->positions();
+  if (paged_ == nullptr) {
+    // Copy-on-write: a fresh immutable buffer; pinned predecessors are
+    // never touched.
+    next.positions = std::make_shared<const PositionEpoch>(
+        PositionEpoch{next.info, sim_mesh_.positions()});
+  } else {
+    // Delta pages: rewrite only position pages whose bytes changed;
+    // unchanged pages are shared with the previous epoch (or stay in
+    // the base file). Adjacency and surface pages are never touched.
+    next.overlay = storage::PositionOverlay::BuildNext(
+        paged_->store().header(), prev->overlay.get(), paged_prev_positions_,
+        sim_mesh_.positions(), &rewritten);
+    paged_prev_positions_ = sim_mesh_.positions();
+  }
   last_step_pages_rewritten_.store(rewritten, std::memory_order_release);
   if (journal_ != nullptr) {
-    journal_->Emit(obs::EventKind::kStepApplied, 0, 0, info.step,
+    journal_->Emit(obs::EventKind::kStepApplied, 0, 0, next.info.step,
                    rewritten);
   }
-  store_->Publish(PinnedEpochState{info, std::move(overlay), nullptr});
+  const engine::EpochInfo info = next.info;
+  store_->Publish(std::move(next));
   return info;
 }
 
@@ -225,8 +199,10 @@ void VersionedBackend::ExecutePinned(const PinnedEpochState* pin,
                             pin != nullptr ? pin->overlay.get() : nullptr);
     *batch_stats = paged_->stats();
   } else {
-    const MeshGraphView graph = mesh_->PinnedGraph(
-        pin != nullptr ? pin->positions.get() : nullptr);
+    MeshGraphView graph = base_graph_;
+    if (pin != nullptr && pin->positions != nullptr) {
+      graph.positions = pin->positions->positions;
+    }
     contexts_.ResetStats();
     ExecuteOctopusBatch(graph, surface_index_, octopus_options_, boxes,
                         out, engine_.pool(), &contexts_);

@@ -11,11 +11,11 @@
 // the paper's stale-index claim, serving a mesh that moves *and*
 // remembers where it has been.
 //
-// Thread model: `Execute`/`ExecuteAt`/`PinEpoch`/`UnpinEpoch` belong to
-// the event-loop thread; `AdvanceStep` may run on a dedicated stepper
-// thread concurrently with them. Queries pin an epoch in O(1) and never
-// block on (or get torn by) an in-flight step; `AdvanceStep` itself is
-// serialized.
+// Thread model: `Execute`/`ExecuteAt` run on the server's scheduler
+// thread; the I/O threads call `PinEpoch`/`UnpinEpoch` and `AdvanceStep`
+// inline (or a dedicated stepper thread steps) concurrently with them.
+// Queries pin an epoch in O(1) and never block on (or get torn by) an
+// in-flight step; `AdvanceStep` itself is serialized.
 #ifndef OCTOPUS_SERVER_VERSIONED_BACKEND_H_
 #define OCTOPUS_SERVER_VERSIONED_BACKEND_H_
 
@@ -30,13 +30,13 @@
 #include "common/thread_annotations.h"
 #include "engine/mesh_epoch.h"
 #include "engine/query_engine.h"
+#include "mesh/graph_view.h"
 #include "mesh/tetra_mesh.h"
 #include "octopus/paged_executor.h"
 #include "octopus/query_executor.h"
 #include "server/epoch_store.h"
+#include "sim/deformer.h"
 #include "sim/deformer_spec.h"
-#include "sim/versioned_mesh.h"
-#include "storage/delta_overlay.h"
 
 namespace octopus::server {
 
@@ -87,7 +87,9 @@ class VersionedBackend {
   }
 
   bool dynamic() const { return dynamic_.load(std::memory_order_acquire); }
-  DeformerKind deformer_kind() const;
+  DeformerKind deformer_kind() const {
+    return dynamic() ? spec_.kind : DeformerKind::kNone;
+  }
 
   /// SIMULATE phase: advances the bound deformer one step and publishes
   /// the new positions as a fresh epoch (copy-on-write; on the paged
@@ -156,31 +158,36 @@ class VersionedBackend {
                      PhaseStats* batch_stats);
 
   engine::QueryEngine engine_;
-  // Exactly one of the two backends is set.
-  // In-memory: the versioned mesh owns connectivity, live positions and
-  // the deformer; the executor state (stale surface index + per-shard
-  // contexts) is built once at load and shared by every epoch.
-  std::unique_ptr<VersionedMesh> mesh_;
+  // Exactly one executor is set up. In-memory: the load-time graph view
+  // (positions + CSR adjacency of `sim_mesh_`), the stale surface index
+  // and per-shard contexts, all built once at load and shared by every
+  // epoch. Paged: the stale snapshot executor.
+  MeshGraphView base_graph_;
   OctopusOptions octopus_options_;
   SurfaceIndex surface_index_;
   mutable engine::ContextPool contexts_;
-  // Paged: the stale snapshot executor plus the live simulation
-  // positions the bound deformer advances (the monitoring side reads
-  // through the pool + overlay; this array is the simulation black box).
   std::unique_ptr<PagedOctopus> paged_;
   std::string snapshot_path_;
-  DeformerSpec paged_spec_;
-  std::unique_ptr<Deformer> paged_deformer_;
-  std::unique_ptr<TetraMesh> paged_sim_mesh_;  // positions only, no tets
-  common::Mutex step_mu_;  // serializes AdvanceStep (both backends)
-  /// The previous step's positions — the delta diff base. Owned by the
-  /// stepper; queries never read it.
+
+  // The simulation side (the paper's black-box solver): bound once by
+  // `BindDeformer`, then driven only by `AdvanceStep`.
+  DeformerSpec spec_;  ///< amplitude resolved; set before `dynamic_`
+  common::Mutex step_mu_;  ///< serializes binding and stepping
+  std::unique_ptr<Deformer> deformer_ GUARDED_BY(step_mu_);
+  /// The mesh the deformer advances in place. In memory it is the
+  /// loaded mesh: `base_graph_` views its arrays, and once a deformer is
+  /// bound queries read only that view's adjacency (positions come from
+  /// the pinned epoch). Paged, a positions-only mesh read from the
+  /// snapshot at bind time.
+  TetraMesh sim_mesh_ GUARDED_BY(step_mu_);
+  /// Paged only: the previous step's positions, the diff base of
+  /// `PositionOverlay::BuildNext`.
   std::vector<Vec3> paged_prev_positions_ GUARDED_BY(step_mu_);
 
-  /// Epoch history: publication, retention, spill, pins. The store's
-  /// single mutex makes every publication one atomic swap as observed
-  /// by concurrent pins — an epoch's info and its position state are
-  /// always seen together.
+  /// Epoch history and the only publication point: retention, spill,
+  /// pins. The store's single mutex makes every publication one atomic
+  /// swap as observed by concurrent pins — an epoch's info and its
+  /// position state are always seen together.
   EpochRetentionOptions retention_options_;
   std::unique_ptr<EpochStore> store_;
   obs::EventJournal* journal_ = nullptr;  ///< lifecycle event sink

@@ -1,24 +1,12 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "sim/deformer.h"
 
-#include <algorithm>
-
 namespace octopus {
 
 float EstimateMeanEdgeLength(const TetraMesh& mesh, size_t sample) {
-  const size_t v_count = mesh.num_vertices();
-  if (v_count == 0) return 0.0f;
-  const size_t stride = std::max<size_t>(1, v_count / std::max<size_t>(sample, 1));
-  double total = 0.0;
-  size_t edges = 0;
-  for (size_t v = 0; v < v_count; v += stride) {
-    const Vec3& p = mesh.position(static_cast<VertexId>(v));
-    for (VertexId n : mesh.neighbors(static_cast<VertexId>(v))) {
-      total += Distance(p, mesh.position(n));
-      ++edges;
-    }
-  }
-  return edges == 0 ? 0.0f : static_cast<float>(total / edges);
+  return EstimateMeanEdgeLength(
+      mesh.positions(), [&mesh](VertexId v) { return mesh.neighbors(v); },
+      sample);
 }
 
 }  // namespace octopus

@@ -6,6 +6,9 @@
 #ifndef OCTOPUS_SIM_DEFORMER_H_
 #define OCTOPUS_SIM_DEFORMER_H_
 
+#include <algorithm>
+#include <span>
+
 #include "mesh/tetra_mesh.h"
 
 namespace octopus {
@@ -32,6 +35,28 @@ class Deformer {
 /// Mean edge length of the mesh, estimated from a vertex sample. Deformer
 /// amplitudes are set relative to this so elements never invert.
 float EstimateMeanEdgeLength(const TetraMesh& mesh, size_t sample = 1024);
+
+/// The estimator loop itself, over any adjacency source: `neighbors(v)`
+/// returns the ids of `v`'s neighbors (an in-memory CSR, or a paged
+/// snapshot's adjacency pages). Every caller runs this one loop, so the
+/// same mesh yields the same estimate in memory and out of core.
+template <typename NeighborsFn>
+float EstimateMeanEdgeLength(std::span<const Vec3> positions,
+                             NeighborsFn&& neighbors, size_t sample = 1024) {
+  const size_t v_count = positions.size();
+  const size_t stride =
+      std::max<size_t>(1, v_count / std::max<size_t>(sample, 1));
+  double total = 0.0;
+  size_t edges = 0;
+  for (size_t v = 0; v < v_count; v += stride) {
+    const Vec3& p = positions[v];
+    for (VertexId n : neighbors(static_cast<VertexId>(v))) {
+      total += Distance(p, positions[n]);
+      ++edges;
+    }
+  }
+  return edges == 0 ? 0.0f : static_cast<float>(total / edges);
+}
 
 }  // namespace octopus
 

@@ -48,8 +48,10 @@ struct DeformerSpec {
 Result<std::unique_ptr<Deformer>> MakeDeformer(const DeformerSpec& spec);
 
 /// The one amplitude-resolution rule every backend shares (in-memory
-/// and paged servers must agree on the trajectory for the same spec):
-/// resolves `spec->amplitude` in place — an unset (0) amplitude becomes
+/// and paged servers must agree on the trajectory for the same spec, so
+/// both measure `mean_edge_length` with the single
+/// `EstimateMeanEdgeLength` loop in sim/deformer.h): resolves
+/// `spec->amplitude` in place — an unset (0) amplitude becomes
 /// `DefaultAmplitude(mean_edge_length)` — then constructs the deformer.
 Result<std::unique_ptr<Deformer>> MakeDeformerResolving(
     DeformerSpec* spec, float mean_edge_length);

@@ -30,7 +30,6 @@
 #include "server/versioned_backend.h"
 #include "sim/deformer_spec.h"
 #include "sim/random_deformer.h"
-#include "sim/versioned_mesh.h"
 #include "sim/workload.h"
 #include "storage/delta_overlay.h"
 #include "test_util.h"
@@ -101,44 +100,162 @@ std::unique_ptr<RemoteClient> MustConnect(uint16_t port) {
 
 // --- Copy-on-write epoch semantics ---
 
-TEST(VersionedMeshTest, PinnedEpochsAreImmutableAcrossSteps) {
-  VersionedMesh versioned(MakeBox(5));
-  EXPECT_FALSE(versioned.dynamic());
-  EXPECT_EQ(versioned.Pin(), nullptr);  // static: zero-overhead path
+/// A backend over `mesh`: in memory, or paged over an original-layout
+/// snapshot written to `path` (same vertex ids as the mesh, so results
+/// and positions compare exactly across the two).
+Result<std::unique_ptr<VersionedBackend>> OpenBackend(
+    const TetraMesh& mesh, bool paged, const std::string& path,
+    int threads) {
+  if (!paged) return VersionedBackend::FromMesh(mesh, threads);
+  OCTOPUS_RETURN_NOT_OK(SaveSnapshot(
+      mesh, path, storage::SnapshotOptions{.page_bytes = 1024}));
+  return VersionedBackend::OpenSnapshot(path, /*pool_bytes=*/64 * 1024,
+                                        threads);
+}
 
-  ASSERT_TRUE(
-      versioned.BindDeformer(ParitySpec(DeformerKind::kRandom)).ok());
-  ASSERT_TRUE(versioned.dynamic());
-  const auto pin0 = versioned.Pin();
-  ASSERT_NE(pin0, nullptr);
-  EXPECT_EQ(pin0->info, (engine::EpochInfo{1, 0}));
-  const std::vector<Vec3> epoch0_positions = pin0->positions;
-
-  const engine::EpochInfo info1 = versioned.AdvanceStep();
-  EXPECT_EQ(info1, (engine::EpochInfo{2, 1}));
-  EXPECT_EQ(versioned.CurrentEpoch(), info1);
-
-  // The buffer pinned before the step is bit-identical afterwards:
-  // copy-on-write, not in-place mutation.
-  ASSERT_EQ(pin0->positions.size(), epoch0_positions.size());
-  for (size_t v = 0; v < epoch0_positions.size(); ++v) {
-    EXPECT_EQ(pin0->positions[v].x, epoch0_positions[v].x);
-    EXPECT_EQ(pin0->positions[v].y, epoch0_positions[v].y);
-    EXPECT_EQ(pin0->positions[v].z, epoch0_positions[v].z);
+/// The positions a pinned epoch state serves: its buffer in memory;
+/// paged, the base snapshot's positions patched with the overlay's
+/// rewritten pages.
+std::vector<Vec3> PinnedPositions(const server::PinnedEpochState& pin,
+                                  const TetraMesh& base,
+                                  uint32_t page_bytes) {
+  if (pin.positions != nullptr) return pin.positions->positions;
+  std::vector<Vec3> out = base.positions();
+  if (pin.overlay == nullptr) return out;
+  const size_t per_page = page_bytes / sizeof(Vec3);
+  for (size_t v = 0; v < out.size(); ++v) {
+    if (const std::byte* page = pin.overlay->Lookup(v / per_page)) {
+      std::memcpy(&out[v], page + (v % per_page) * sizeof(Vec3),
+                  sizeof(Vec3));
+    }
   }
+  return out;
+}
+
+void ExpectBitIdentical(const std::vector<Vec3>& actual,
+                        const std::vector<Vec3>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        expected.size() * sizeof(Vec3)),
+            0);
+}
+
+void RunPinnedEpochsImmutable(bool paged) {
+  constexpr uint32_t kSteps = 3;
+  const TetraMesh mesh = MakeBox(5);
+  const std::string path = ::testing::TempDir() + "/immutable.oct2";
+  auto opened = OpenBackend(mesh, paged, path, /*threads=*/1);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<VersionedBackend> backend = opened.MoveValue();
+  EXPECT_FALSE(backend->dynamic());
+  EXPECT_EQ(backend->CurrentEpoch(), engine::EpochInfo{});  // static
+  EXPECT_EQ(backend->epoch_store(), nullptr);
+
+  ASSERT_TRUE(backend->BindDeformer(ParitySpec(DeformerKind::kRandom)).ok());
+  ASSERT_TRUE(backend->dynamic());
+  EXPECT_EQ(backend->CurrentEpoch(), (engine::EpochInfo{1, 0}));
+  const auto pin0 = backend->epoch_store()->PinNewest();
+  ASSERT_TRUE(pin0.has_value());
+  EXPECT_EQ(pin0->info, (engine::EpochInfo{1, 0}));
+  const std::vector<Vec3> epoch0_positions =
+      PinnedPositions(*pin0, mesh, backend->page_bytes());
+
+  QueryGenerator gen(mesh);
+  Rng rng(0x1A7E);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 10, 0.005, 0.04);
+  engine::QueryBatchResult at_step0;
+  PhaseStats stats;
+  backend->Execute(queries, &at_step0, &stats);
+
+  EXPECT_EQ(backend->AdvanceStep(), (engine::EpochInfo{2, 1}));
+  EXPECT_EQ(backend->CurrentEpoch(), (engine::EpochInfo{2, 1}));
+
+  // The state pinned before the step is bit-identical afterwards:
+  // copy-on-write, not in-place mutation.
+  ExpectBitIdentical(PinnedPositions(*pin0, mesh, backend->page_bytes()),
+                     epoch0_positions);
 
   // The new epoch actually moved (a random deformer displaces ~all).
-  const auto pin1 = versioned.Pin();
+  const auto pin1 = backend->epoch_store()->PinNewest();
+  ASSERT_TRUE(pin1.has_value());
   ASSERT_EQ(pin1->info.epoch, 2u);
+  const std::vector<Vec3> epoch1_positions =
+      PinnedPositions(*pin1, mesh, backend->page_bytes());
   size_t moved = 0;
-  for (size_t v = 0; v < pin1->positions.size(); ++v) {
-    if (pin1->positions[v].x != epoch0_positions[v].x) ++moved;
+  for (size_t v = 0; v < epoch1_positions.size(); ++v) {
+    if (epoch1_positions[v].x != epoch0_positions[v].x) ++moved;
   }
-  EXPECT_GT(moved, pin1->positions.size() / 2);
+  EXPECT_GT(moved, epoch1_positions.size() / 2);
+
+  // K more steps leave both pins untouched, and epoch 1 still answers
+  // exactly what it answered while it was current.
+  for (uint32_t s = 0; s < kSteps; ++s) backend->AdvanceStep();
+  ExpectBitIdentical(PinnedPositions(*pin0, mesh, backend->page_bytes()),
+                     epoch0_positions);
+  ExpectBitIdentical(PinnedPositions(*pin1, mesh, backend->page_bytes()),
+                     epoch1_positions);
+  engine::QueryBatchResult replay;
+  ASSERT_TRUE(backend->ExecuteAt(1, queries, &replay, &stats).ok());
+  EXPECT_EQ(replay.epoch, (engine::EpochInfo{1, 0}));
+  ASSERT_EQ(replay.size(), at_step0.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(replay.per_query[q], at_step0.per_query[q]) << "query " << q;
+  }
 
   // Rebinding is refused.
-  EXPECT_FALSE(
-      versioned.BindDeformer(ParitySpec(DeformerKind::kWave)).ok());
+  EXPECT_FALSE(backend->BindDeformer(ParitySpec(DeformerKind::kWave)).ok());
+  if (paged) std::remove(path.c_str());
+}
+
+TEST(VersionedBackendTest, PinnedEpochsAreImmutableAcrossStepsInMemory) {
+  RunPinnedEpochsImmutable(/*paged=*/false);
+}
+
+TEST(VersionedBackendTest, PinnedEpochsAreImmutableAcrossStepsPaged) {
+  RunPinnedEpochsImmutable(/*paged=*/true);
+}
+
+// An unresolved amplitude (0) is derived from the mesh at bind time. The
+// in-memory and paged backends must derive the same one, or the same
+// spec drives two different trajectories.
+TEST(VersionedBackendTest, DefaultAmplitudeResolvesAlikeOnBothBackends) {
+  constexpr uint32_t kSteps = 4;
+  const TetraMesh mesh = MakeBox(6);
+  DeformerSpec spec = ParitySpec(DeformerKind::kRandom);
+  spec.amplitude = 0.0f;
+  const std::string path = ::testing::TempDir() + "/default_amplitude.oct2";
+  auto in_memory = OpenBackend(mesh, /*paged=*/false, path, 1);
+  auto paged = OpenBackend(mesh, /*paged=*/true, path, 1);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_TRUE(in_memory.Value()->BindDeformer(spec).ok());
+  ASSERT_TRUE(paged.Value()->BindDeformer(spec).ok());
+  for (uint32_t s = 0; s < kSteps; ++s) {
+    in_memory.Value()->AdvanceStep();
+    paged.Value()->AdvanceStep();
+  }
+  EXPECT_EQ(in_memory.Value()->CurrentEpoch(),
+            paged.Value()->CurrentEpoch());
+  ExpectBitIdentical(
+      PinnedPositions(*paged.Value()->epoch_store()->PinNewest(), mesh,
+                      paged.Value()->page_bytes()),
+      in_memory.Value()->epoch_store()->PinNewest()->positions->positions);
+
+  QueryGenerator gen(mesh);
+  Rng rng(0xA3F1);
+  const std::vector<AABB> queries = gen.MakeQueries(&rng, 12, 0.005, 0.04);
+  engine::QueryBatchResult expected;
+  engine::QueryBatchResult actual;
+  PhaseStats stats;
+  ASSERT_TRUE(in_memory.Value()->ExecuteAt(0, queries, &expected, &stats)
+                  .ok());
+  ASSERT_TRUE(paged.Value()->ExecuteAt(0, queries, &actual, &stats).ok());
+  EXPECT_EQ(actual.epoch, expected.epoch);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(actual.per_query[q], expected.per_query[q]) << "query " << q;
+  }
+  std::remove(path.c_str());
 }
 
 // --- OCT2 delta pages ---
@@ -221,22 +338,11 @@ void RunEpochParity(bool paged, int threads) {
   const TetraMesh mesh = MakeBox(7);
   const DeformerSpec spec = ParitySpec(DeformerKind::kRandom);
 
-  std::unique_ptr<VersionedBackend> backend;
-  std::string path;
-  if (paged) {
-    path = ::testing::TempDir() + "/dynamic_parity_" +
-           std::to_string(threads) + ".oct2";
-    ASSERT_TRUE(SaveSnapshot(mesh, path,
-                             storage::SnapshotOptions{.page_bytes = 1024})
-                    .ok());
-    auto opened =
-        VersionedBackend::OpenSnapshot(path, /*pool_bytes=*/64 * 1024,
-                                       threads);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    backend = opened.MoveValue();
-  } else {
-    backend = VersionedBackend::FromMesh(mesh, threads);
-  }
+  const std::string path = ::testing::TempDir() + "/dynamic_parity_" +
+                           std::to_string(threads) + ".oct2";
+  auto opened = OpenBackend(mesh, paged, path, threads);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<VersionedBackend> backend = opened.MoveValue();
   ASSERT_TRUE(backend->BindDeformer(spec).ok());
 
   ServerFixture fixture(std::move(backend));
@@ -328,7 +434,7 @@ void RunEpochParity(bool paged, int threads) {
   ASSERT_TRUE(remote->FetchEpochInfo().ok());
 
   fixture.StopAndJoin();
-  if (!path.empty()) std::remove(path.c_str());
+  if (paged) std::remove(path.c_str());
 }
 
 TEST(DynamicServingTest, EpochParityInMemory1Thread) {
@@ -361,20 +467,10 @@ void RunRepeatableRead(bool paged) {
   const TetraMesh mesh = MakeBox(6);
   const DeformerSpec spec = ParitySpec(DeformerKind::kRandom);
 
-  std::unique_ptr<VersionedBackend> backend;
-  std::string path;
-  if (paged) {
-    path = ::testing::TempDir() + "/repeatable.oct2";
-    ASSERT_TRUE(SaveSnapshot(mesh, path,
-                             storage::SnapshotOptions{.page_bytes = 1024})
-                    .ok());
-    auto opened =
-        VersionedBackend::OpenSnapshot(path, /*pool_bytes=*/64 * 1024, 1);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    backend = opened.MoveValue();
-  } else {
-    backend = VersionedBackend::FromMesh(mesh, 1);
-  }
+  const std::string path = ::testing::TempDir() + "/repeatable.oct2";
+  auto opened = OpenBackend(mesh, paged, path, /*threads=*/1);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<VersionedBackend> backend = opened.MoveValue();
   server::EpochRetentionOptions retention;
   retention.retention_epochs = kWindow;
   retention.history_epochs = kHistory;
@@ -468,7 +564,7 @@ void RunRepeatableRead(bool paged) {
       << "a dead session's pin must not keep its epoch alive";
 
   fixture.StopAndJoin();
-  if (!path.empty()) std::remove(path.c_str());
+  if (paged) std::remove(path.c_str());
 }
 
 TEST(DynamicServingTest, PinnedRepeatableReadsInMemory) {

@@ -38,6 +38,7 @@ namespace {
 using server::EpochRetentionOptions;
 using server::EpochStore;
 using server::PinnedEpochState;
+using server::PositionEpoch;
 using server::VersionedBackend;
 
 TetraMesh MakeBox(int n) {
