@@ -2,6 +2,7 @@
 #include "server/batch_scheduler.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace octopus::server {
@@ -15,20 +16,61 @@ bool BatchScheduler::Enqueue(PendingRequest request) {
       pending_query_count_ + queries > options_.max_pending_queries) {
     return false;
   }
+  SessionState& session = sessions_[request.session_id];
+  if (!session.in_quorum) {
+    session.in_quorum = true;
+  } else if (session.pending == 0) {
+    --quorum_idle_;
+  }
+  ++session.pending;
   pending_query_count_ += queries;
   pending_.push_back(std::move(request));
   return true;
 }
 
+void BatchScheduler::JoinQuorum(uint64_t session_id) {
+  SessionState& session = sessions_[session_id];
+  if (session.in_quorum) return;
+  session.in_quorum = true;
+  if (session.pending == 0) ++quorum_idle_;
+}
+
+void BatchScheduler::LeaveQuorum(uint64_t session_id) {
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end() || !it->second.in_quorum) return;
+  it->second.in_quorum = false;
+  if (it->second.pending == 0) {
+    --quorum_idle_;
+    sessions_.erase(it);
+  }
+}
+
+int64_t BatchScheduler::WindowClosesNanos() const {
+  const int64_t arrival = pending_.front().arrival_nanos;
+  const int64_t window = std::max<int64_t>(options_.window_nanos, 0);
+  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+  return arrival > kNever - window ? kNever : arrival + window;
+}
+
+BatchScheduler::Trigger BatchScheduler::DueTrigger(int64_t now_nanos) const {
+  if (pending_.empty()) return Trigger::kNone;
+  if (pending_query_count_ >= options_.max_batch_queries) {
+    return Trigger::kSize;
+  }
+  // Nobody left to wait for: every member already has a request queued.
+  if (quorum_idle_ == 0) return Trigger::kQuorum;
+  if (now_nanos >= WindowClosesNanos()) return Trigger::kWindow;
+  return Trigger::kNone;
+}
+
 int64_t BatchScheduler::NanosUntilDue(int64_t now_nanos) const {
   if (pending_.empty()) return -1;
-  if (pending_query_count_ >= options_.max_batch_queries) return 0;
-  const int64_t due = pending_.front().arrival_nanos + options_.window_nanos;
-  return std::max<int64_t>(due - now_nanos, 0);
+  if (DueTrigger(now_nanos) != Trigger::kNone) return 0;
+  return WindowClosesNanos() - now_nanos;
 }
 
 bool BatchScheduler::ShouldExecute(int64_t now_nanos) const {
-  return !pending_.empty() && NanosUntilDue(now_nanos) == 0;
+  return DueTrigger(now_nanos) != Trigger::kNone;
 }
 
 void BatchScheduler::ExecuteReady(VersionedBackend* backend,
@@ -36,6 +78,7 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
                                   ServerMetrics* metrics,
                                   int64_t dispatch_nanos) {
   if (pending_.empty()) return;
+  const bool quorum = DueTrigger(dispatch_nanos) == Trigger::kQuorum;
 
   // Pack whole requests FIFO until the size cap. Always take at least
   // one, so an oversized request executes alone rather than starving.
@@ -61,6 +104,7 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
   backend->Execute(batch_.View(), &batch_results_, &batch_stats);
 
   metrics->batches_executed += 1;
+  if (quorum) metrics->batches_quorum += 1;
   metrics->queries_executed += batch_queries;
   metrics->MergeEngine(batch_stats);
 
@@ -86,6 +130,15 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
     }
     offset += request.boxes.size();
     completed->push_back(std::move(done));
+
+    auto session = sessions_.find(request.session_id);
+    if (--session->second.pending == 0) {
+      if (session->second.in_quorum) {
+        ++quorum_idle_;
+      } else {
+        sessions_.erase(session);
+      }
+    }
   }
 
   pending_.erase(pending_.begin(),
@@ -93,14 +146,13 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
   pending_query_count_ -= batch_queries;
 }
 
-bool BatchScheduler::HasPendingFor(uint64_t session_id) const {
-  for (const PendingRequest& request : pending_) {
-    if (request.session_id == session_id) return true;
-  }
-  return false;
-}
-
 void BatchScheduler::DropSession(uint64_t session_id) {
+  auto session = sessions_.find(session_id);
+  if (session == sessions_.end()) return;
+  if (session->second.in_quorum && session->second.pending == 0) {
+    --quorum_idle_;
+  }
+  sessions_.erase(session);
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->session_id == session_id) {
       pending_query_count_ -= it->boxes.size();

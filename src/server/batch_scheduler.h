@@ -1,13 +1,21 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 // Cross-client batch coalescing: the scheduler collects range-query
 // requests arriving from many connections and folds them into one
-// `engine::QueryBatch` when either (a) the oldest pending request's
-// coalescing window expires or (b) enough queries have accumulated —
-// then executes once on the backend and demultiplexes per-request
-// results. This is where the paper's "tens to hundreds of queries per
-// time step" batching meets a multi-tenant server: concurrent monitoring
-// clients share one probe->walk->crawl sweep per window instead of one
-// per request.
+// `engine::QueryBatch` as soon as (a) enough queries have accumulated,
+// (b) every open query session has a request queued (the quorum), or
+// (c) the oldest pending request's coalescing window expires — then
+// executes once on the backend and demultiplexes per-request results.
+// This is where the paper's "tens to hundreds of queries per time step"
+// batching meets a multi-tenant server: concurrent monitoring clients
+// share one probe->walk->crawl sweep instead of one per request, and
+// the window only bounds how long a batch waits for a session that is
+// slow or silent — once nobody else can join, waiting buys nothing.
+//
+// Query sessions: a session joins the quorum when its handshake is
+// accepted and on every admitted current-epoch request, and leaves when
+// it sends anything else (a control verb or a historical-epoch request)
+// or closes. The server tells the scheduler only about membership
+// *changes*; pending counts are tracked here.
 //
 // No threads of its own: the server's scheduler thread drives it under
 // one mutex, asking `NanosUntilDue` to size its condition-variable wait
@@ -19,6 +27,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <unordered_map>
 #include <vector>
 
 #include "common/aabb.h"
@@ -31,8 +40,9 @@ namespace octopus::server {
 
 struct SchedulerOptions {
   /// Coalescing window: a pending request executes at latest this long
-  /// after it arrived. 0 = execute as soon as the loop drains its
-  /// sockets (still coalescing whatever arrived in the same poll round).
+  /// after it arrived — earlier once every query session has a request
+  /// queued. 0 = execute as soon as the loop drains its sockets (still
+  /// coalescing whatever arrived in the same poll round).
   int64_t window_nanos = 2'000'000;  // 2 ms
   /// A batch executes early once it holds at least this many queries.
   /// Whole requests are packed; a single request larger than the cap
@@ -88,18 +98,27 @@ class BatchScheduler {
   /// Admission control: accepts the request into the pending queue, or
   /// returns false (queue full — caller sends OVERLOADED) leaving the
   /// queue untouched. Zero-query requests are accepted (they complete
-  /// with an empty result at the next execution point).
+  /// with an empty result at the next execution point). An accepted
+  /// request (re)joins its session to the quorum.
   bool Enqueue(PendingRequest request);
+
+  /// Adds a session to the quorum (idempotent). A member with nothing
+  /// queued holds a batch back — up to the window.
+  void JoinQuorum(uint64_t session_id);
+  /// Removes a session from the quorum (idempotent); its queued
+  /// requests stay queued. May complete the quorum: the caller wakes
+  /// the scheduler thread.
+  void LeaveQuorum(uint64_t session_id);
 
   bool HasPending() const { return !pending_.empty(); }
   size_t pending_queries() const { return pending_query_count_; }
 
-  /// Nanoseconds until the oldest pending request's window expires;
-  /// <= 0 means a batch is due now, -1 means nothing is pending.
+  /// Nanoseconds until a batch is due: 0 when one is due now (size
+  /// trigger, complete quorum or expired window), -1 when nothing is
+  /// pending, else the time left in the oldest request's window.
   int64_t NanosUntilDue(int64_t now_nanos) const;
 
-  /// True when `ExecuteReady` would execute at least one batch now
-  /// (window expired or the size trigger reached).
+  /// True when `ExecuteReady` would execute at least one batch now.
   bool ShouldExecute(int64_t now_nanos) const;
 
   /// Packs pending requests (FIFO, whole requests, up to the size cap)
@@ -107,26 +126,41 @@ class BatchScheduler {
   /// backend pins for the batch — every stamped RESULT of the batch
   /// carries that one epoch), and appends one `CompletedRequest` per
   /// packed request to `completed`. Updates `metrics` (batch/query
-  /// counters + engine totals). Call in a loop while `ShouldExecute` —
-  /// one call executes exactly one batch. `dispatch_nanos` (the loop's
-  /// clock at the call) is stamped onto every completed request so the
-  /// flight recorder can attribute queue wait.
+  /// counters + engine totals; `batches_quorum` when the quorum was
+  /// complete and the size trigger was not). Call in a loop while
+  /// `ShouldExecute` — one call executes exactly one batch.
+  /// `dispatch_nanos` (the loop's clock at the call) is stamped onto
+  /// every completed request so the flight recorder can attribute queue
+  /// wait.
   void ExecuteReady(VersionedBackend* backend,
                     std::vector<CompletedRequest>* completed,
                     ServerMetrics* metrics, int64_t dispatch_nanos = 0);
 
   /// Drops every pending request of a disconnected session so its
-  /// queries are not executed for nobody.
+  /// queries are not executed for nobody, and removes it from the
+  /// quorum (which may complete it).
   void DropSession(uint64_t session_id);
 
-  /// True while any pending request belongs to `session_id` (used to
-  /// keep a half-closed session alive until it has been answered).
-  bool HasPendingFor(uint64_t session_id) const;
-
  private:
+  enum class Trigger : uint8_t { kNone, kSize, kQuorum, kWindow };
+  /// Why a batch is due at `now_nanos`; kNone while none is.
+  Trigger DueTrigger(int64_t now_nanos) const;
+  /// When the oldest pending request's window closes (saturating).
+  int64_t WindowClosesNanos() const;
+
+  struct SessionState {
+    uint32_t pending = 0;  ///< requests of the session in `pending_`
+    bool in_quorum = false;
+  };
+
   SchedulerOptions options_;
   std::deque<PendingRequest> pending_;
   size_t pending_query_count_ = 0;
+  /// Sessions in the quorum or with requests pending; an entry is
+  /// erased once it is neither.
+  std::unordered_map<uint64_t, SessionState> sessions_;
+  /// Quorum members with nothing pending: the quorum is complete at 0.
+  size_t quorum_idle_ = 0;
   // Scratch reused across batches.
   engine::QueryBatch batch_;
   engine::QueryBatchResult batch_results_;

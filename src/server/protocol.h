@@ -217,6 +217,7 @@ struct EpochInfoWire {
   LOCAL(uint64_t, results_sent, kCount, "octopus_results_sent_total", "RESULT frames enqueued.") \
   LOCAL(uint64_t, errors_sent, kCount, "octopus_errors_sent_total", "ERROR frames enqueued.") \
   LOCAL(uint64_t, slow_queries, kCount, "octopus_slow_queries_total", "Requests over the --slow-query-ms threshold.") \
+  LOCAL(uint64_t, batches_quorum, kCount, "octopus_batches_quorum_total", "Coalesced batches dispatched on a complete quorum: every open query session had a request queued.") \
   LOCAL(int64_t, serialize_nanos_total, kNanos, "octopus_serialize_seconds_total", "Wall clock spent encoding RESULT frames.")
 // clang-format on
 

@@ -75,10 +75,13 @@ struct QueryServer::Session {
   /// once nothing is pending for it.
   bool read_closed = false;
   /// Requests of this session in flight through the scheduler /
-  /// serializer pipeline (the threaded replacement for the old loop's
-  /// `HasPendingFor`): exempts the session from the idle deadline and
+  /// serializer pipeline: exempts the session from the idle deadline and
   /// keeps a half-closed session alive until it has been answered.
   uint32_t inflight = 0;
+  /// Mirror of this session's quorum membership in the scheduler, so
+  /// only a membership *change* takes `sched_mu_` (a stream of STEPs or
+  /// STATS takes no lock for it).
+  bool in_quorum = false;
   Buffer in;                ///< received, not yet parsed
   std::deque<OutFrame> out; ///< encoded frames, not yet fully sent
   size_t out_offset = 0;    ///< bytes of `out.front()` already sent
@@ -589,12 +592,26 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
     // read was benign, the discipline violation was not).
     welcome.max_batch_queries = static_cast<uint32_t>(
         options_.scheduler.max_batch_queries);
+    {
+      // A fresh client is presumed a query session until it shows
+      // otherwise; joining cannot complete the quorum, so no wakeup.
+      // Joined before the WELCOME is queued: a client that has read
+      // its WELCOME is already counted.
+      common::MutexLock lock(sched_mu_);
+      scheduler_.JoinQuorum(session->id);
+    }
+    session->in_quorum = true;
     OutFrame frame;
     AppendWelcome(&frame.bytes, welcome);
     session->Push(std::move(frame));
     session->handshaken = true;
     return;
   }
+
+  // Anything but a query batch marks a control session (a stepper, a
+  // stats poller): batches stop waiting for it. A historical batch
+  // leaves inside its admission block below.
+  if (type != FrameType::kQueryBatch) LeaveQuorum(session);
 
   switch (type) {
     case FrameType::kQueryBatch: {
@@ -627,8 +644,15 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
         kShuttingDown,
       };
       Verdict verdict;
+      bool left_quorum = false;
       {
         common::MutexLock lock(sched_mu_);
+        if (epoch != 0 && session->in_quorum) {
+          // A historical reader never joins a coalesced batch.
+          scheduler_.LeaveQuorum(session->id);
+          session->in_quorum = false;
+          left_quorum = true;
+        }
         if (sched_closed_) {
           // The scheduler already drained and exited; nothing would
           // ever execute this request.
@@ -656,14 +680,17 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
           verdict = Verdict::kEmptyInline;
         } else if (scheduler_.Enqueue(std::move(request))) {
           session->inflight += 1;
+          session->in_quorum = true;  // Enqueue (re)joined it
           verdict = Verdict::kAdmitted;
         } else {
           verdict = Verdict::kOverloaded;
         }
       }
+      if (verdict == Verdict::kAdmitted || left_quorum) {
+        sched_cv_.NotifyOne();
+      }
       switch (verdict) {
         case Verdict::kAdmitted:
-          sched_cv_.NotifyOne();
           return;
         case Verdict::kEmptyInline: {
           // Nothing to coalesce: answer an empty batch immediately —
@@ -826,6 +853,17 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
   }
 }
 
+void QueryServer::LeaveQuorum(Session* session) {
+  if (!session->in_quorum) return;
+  session->in_quorum = false;
+  {
+    common::MutexLock lock(sched_mu_);
+    scheduler_.LeaveQuorum(session->id);
+  }
+  // The others may all be queued already, waiting only for this one.
+  sched_cv_.NotifyOne();
+}
+
 void QueryServer::AppendCurrentEpochInfo(Session* session,
                                          engine::EpochInfo epoch) {
   EpochInfoWire info;
@@ -947,6 +985,8 @@ void QueryServer::CloseSession(IoThread& io, uint64_t session_id) {
       return r.request.session_id == session_id;
     });
   }
+  // Leaving the quorum may complete it for the sessions still queued.
+  if (it->second->in_quorum) sched_cv_.NotifyOne();
   // A dead session's pins die with it: release every count so the
   // epochs it was holding become evictable again.
   uint64_t pins_released = 0;
@@ -1069,7 +1109,11 @@ void QueryServer::SchedulerLoop() {
     if (due < 0) {
       sched_cv_.Wait(sched_mu_);
     } else {
-      sched_cv_.WaitFor(sched_mu_, std::chrono::nanoseconds(due));
+      // Capped so a huge configured window cannot overflow the
+      // condition variable's deadline; the loop re-evaluates on wakeup.
+      constexpr int64_t kMaxWaitNanos = 3'600'000'000'000;  // 1 h
+      sched_cv_.WaitFor(sched_mu_, std::chrono::nanoseconds(
+                                       std::min(due, kMaxWaitNanos)));
     }
   }
 }

@@ -12,9 +12,11 @@
 //                    pre-framed output. Connections never migrate, so
 //                    all per-session state stays thread-local.
 //   scheduler thread coalesces queries across connections (the
-//                    existing `BatchScheduler`, unchanged) and runs
-//                    engine batches; query-execution parallelism lives
-//                    inside the backend's `QueryEngine` thread pool.
+//                    `BatchScheduler`: a batch runs once every query
+//                    session has a request queued, at the latest when
+//                    the window closes) and runs engine batches;
+//                    query-execution parallelism lives inside the
+//                    backend's `QueryEngine` thread pool.
 //   serializer thread encodes RESULT/ERROR frames off the I/O threads
 //                    (zero-copy: result vectors ride the frame as
 //                    iovec segments, see server/io_pipeline.h) and
@@ -203,6 +205,9 @@ class QueryServer {
                    std::span<const uint8_t> payload);
   void SendError(Session* session, ErrorCode code, uint64_t request_id,
                  const std::string& message, bool close_connection);
+  /// Takes `session` out of the scheduler's quorum if it is in it (a
+  /// control verb marks it a non-query session) and wakes the scheduler.
+  void LeaveQuorum(Session* session) EXCLUDES(sched_mu_);
   /// Encodes an EPOCH_INFO answer for `epoch` with the backend's
   /// dynamic/deformer metadata (the reply to STEP, PIN and UNPIN).
   void AppendCurrentEpochInfo(Session* session, engine::EpochInfo epoch);

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -398,6 +399,47 @@ server::Buffer ValidHello() {
   return bytes;
 }
 
+/// A handshaken query session that never finishes a request. It stays
+/// in the scheduler's quorum, so another client's lone request parks
+/// until its coalescing window closes. With a nonzero `trickle` it
+/// sends one byte of a never-completed QUERY_BATCH frame per period,
+/// so an idle timeout longer than the period never closes it.
+class QuorumHolder {
+ public:
+  explicit QuorumHolder(uint16_t port,
+                        std::chrono::milliseconds trickle = {})
+      : fd_(RawConnect(port)) {
+    SendRaw(fd_, ValidHello());
+    FrameType type{};
+    server::Buffer payload;
+    // The WELCOME is queued after the join: from here on it counts.
+    EXPECT_TRUE(ReadFrameRaw(fd_, &type, &payload));
+    EXPECT_EQ(type, FrameType::kWelcome);
+    if (trickle.count() == 0) return;
+    thread_ = std::thread([this, trickle] {
+      server::Buffer frame;
+      const std::vector<AABB> boxes(256, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+      server::AppendQueryBatch(&frame, 1, boxes);
+      for (size_t i = 0; i + 1 < frame.size() && !stop_.load(); ++i) {
+        if (send(fd_, frame.data() + i, 1, MSG_NOSIGNAL) != 1) return;
+        std::this_thread::sleep_for(trickle);
+      }
+    });
+  }
+  ~QuorumHolder() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+    close(fd_);
+  }
+  QuorumHolder(const QuorumHolder&) = delete;
+  QuorumHolder& operator=(const QuorumHolder&) = delete;
+
+ private:
+  int fd_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
 TEST(ServerIntegrationTest, RejectsMalformedFrames) {
   const TetraMesh mesh = MakeBox(4);
   ServerFixture fixture(VersionedBackend::FromMesh(mesh, 1));
@@ -552,6 +594,8 @@ TEST(ServerIntegrationTest, OverloadIsExplicitAndAcceptedWorkCompletes) {
 
   auto client_a = MustConnect(fixture.port());
   auto client_b = MustConnect(fixture.port());
+  // B leaves the quorum with its first STATS; the holder stays in it.
+  QuorumHolder holder(fixture.port());
 
   // A's 6 queries park in the scheduler (window is a minute out).
   Result<client::RemoteBatchResult> result_a =
@@ -656,6 +700,8 @@ TEST(ServerIntegrationTest, IdleSessionsTimeOutWithTypedError) {
   parked.scheduler.window_nanos = 400'000'000;  // 4x the idle timeout
   ServerFixture parked_fixture(VersionedBackend::FromMesh(mesh, 1),
                                parked);
+  // Without a second query session a lone request would not park.
+  QuorumHolder holder(parked_fixture.port(), std::chrono::milliseconds(20));
   auto client = MustConnect(parked_fixture.port());
   const std::vector<AABB> queries = {AABB(Vec3(0, 0, 0), Vec3(1, 1, 1))};
   auto result = client->ExecuteBatch(queries);
@@ -677,6 +723,8 @@ TEST(ServerIntegrationTest, SlowCoalescingWindowDoesNotCondemnSession) {
   options.idle_timeout_nanos = 100'000'000;        // 100 ms
   options.scheduler.window_nanos = 300'000'000;    // 3x the idle timeout
   ServerFixture fixture(VersionedBackend::FromMesh(mesh, 1), options);
+  // Keeps the quorum incomplete so each request waits out the window.
+  QuorumHolder holder(fixture.port(), std::chrono::milliseconds(20));
   auto client = MustConnect(fixture.port());
   const std::vector<AABB> queries = {AABB(Vec3(0, 0, 0), Vec3(1, 1, 1))};
 
@@ -739,6 +787,67 @@ TEST(ServerIntegrationTest, EmptyBatchReturnsImmediately) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.Value().results.size(), 0u);
   EXPECT_EQ(result.Value().stats.queries, 0u);
+}
+
+// Quorum dispatch: a lone query client completes the quorum with its
+// own request, so a minute-long window is never waited out.
+TEST(ServerIntegrationTest, LoneClientIsAnsweredAtOnce) {
+  const TetraMesh mesh = MakeBox(4);
+  ServerOptions options;
+  options.scheduler.window_nanos = 60'000'000'000;
+  ServerFixture fixture(VersionedBackend::FromMesh(mesh, 1), options);
+  auto remote = MustConnect(fixture.port());
+  const std::vector<AABB> queries = {AABB(Vec3(0, 0, 0), Vec3(1, 1, 1))};
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 3; ++i) {
+    auto result = remote->ExecuteBatch(queries);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(Sorted(result.Value().results.per_query[0]),
+              BruteForceRangeQuery(mesh, queries[0]));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(30));
+  fixture.StopAndJoin();
+  const server::ServerMetrics& metrics = fixture.server().metrics();
+  EXPECT_EQ(metrics.batches_executed, 3u);
+  EXPECT_EQ(metrics.batches_quorum, 3u);
+}
+
+// ... while two fresh clients still share one batch, whichever sends
+// first: the first request waits for the second session, not for the
+// (minute-long) window, and nothing here depends on timing.
+TEST(ServerIntegrationTest, TwoFreshClientsStillCoalesce) {
+  const TetraMesh mesh = MakeBox(6);
+  ServerOptions options;
+  options.scheduler.window_nanos = 60'000'000'000;
+  ServerFixture fixture(VersionedBackend::FromMesh(mesh, 1), options);
+  auto client_a = MustConnect(fixture.port());
+  auto client_b = MustConnect(fixture.port());
+  QueryGenerator gen(mesh);
+  Rng rng(5);
+  const std::vector<AABB> queries_a = gen.MakeQueries(&rng, 3, 0.01, 0.02);
+  const std::vector<AABB> queries_b = gen.MakeQueries(&rng, 5, 0.01, 0.02);
+
+  Result<client::RemoteBatchResult> result_a = Status::IOError("not run");
+  std::thread thread_a([&] { result_a = client_a->ExecuteBatch(queries_a); });
+  auto result_b = client_b->ExecuteBatch(queries_b);
+  thread_a.join();
+
+  ASSERT_TRUE(result_a.ok()) << result_a.status().ToString();
+  ASSERT_TRUE(result_b.ok()) << result_b.status().ToString();
+  EXPECT_EQ(result_a.Value().stats.batch_requests, 2u);
+  EXPECT_EQ(result_b.Value().stats.batch_requests, 2u);
+  EXPECT_EQ(result_a.Value().stats.batch_queries, 8u);
+  for (size_t q = 0; q < queries_a.size(); ++q) {
+    EXPECT_EQ(Sorted(result_a.Value().results.per_query[q]),
+              BruteForceRangeQuery(mesh, queries_a[q]));
+  }
+  for (size_t q = 0; q < queries_b.size(); ++q) {
+    EXPECT_EQ(Sorted(result_b.Value().results.per_query[q]),
+              BruteForceRangeQuery(mesh, queries_b[q]));
+  }
+  fixture.StopAndJoin();
+  EXPECT_EQ(fixture.server().metrics().batches_quorum, 1u);
 }
 
 TEST(BatchSchedulerTest, CoalescesWholeRequestsUpToTheCap) {
@@ -841,6 +950,128 @@ TEST(BatchSchedulerTest, AdmissionControlAndSessionDrop) {
   EXPECT_TRUE(scheduler.Enqueue(request(4, 25)));
   EXPECT_EQ(scheduler.pending_queries(), 25u);
   EXPECT_FALSE(scheduler.Enqueue(request(5, 1)));  // bound applies again
+}
+
+/// One single-box request of `session` arriving at `arrival_nanos`.
+server::PendingRequest QuorumRequest(uint64_t session,
+                                     int64_t arrival_nanos) {
+  server::PendingRequest r;
+  r.session_id = session;
+  r.request_id = session;
+  r.boxes.assign(1, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+  r.arrival_nanos = arrival_nanos;
+  return r;
+}
+
+server::SchedulerOptions QuorumOptions() {
+  server::SchedulerOptions options;
+  options.window_nanos = 1'000;
+  return options;
+}
+
+TEST(BatchSchedulerTest, QuorumWaitsForEveryQuerySession) {
+  auto backend = VersionedBackend::FromMesh(MakeBox(4), 1);
+  server::BatchScheduler scheduler(QuorumOptions());
+  server::ServerMetrics metrics;
+  scheduler.JoinQuorum(1);
+  scheduler.JoinQuorum(2);
+
+  // Two sessions, one request: session 2 may still join the batch.
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 100)));
+  EXPECT_FALSE(scheduler.ShouldExecute(101));
+  EXPECT_EQ(scheduler.NanosUntilDue(101), 999);
+
+  // Its request completes the quorum: due well before the window.
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(2, 150)));
+  EXPECT_TRUE(scheduler.ShouldExecute(151));
+  EXPECT_EQ(scheduler.NanosUntilDue(151), 0);
+  std::vector<server::CompletedRequest> completed;
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics, 151);
+  ASSERT_EQ(completed.size(), 2u);
+  EXPECT_EQ(completed[0].stats.batch_requests, 2u);
+  EXPECT_EQ(metrics.batches_executed, 1u);
+  EXPECT_EQ(metrics.batches_quorum, 1u);
+
+  // Both stay members: the next lone request waits for the other again.
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 200)));
+  EXPECT_FALSE(scheduler.ShouldExecute(201));
+}
+
+TEST(BatchSchedulerTest, LeavingTheQuorumMakesTheBatchDue) {
+  server::BatchScheduler scheduler(QuorumOptions());
+  scheduler.JoinQuorum(1);
+  scheduler.JoinQuorum(2);
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 100)));
+  EXPECT_FALSE(scheduler.ShouldExecute(101));
+  // Session 2 sent a control verb (STEP, STATS, ...): not a querier.
+  scheduler.LeaveQuorum(2);
+  EXPECT_TRUE(scheduler.ShouldExecute(101));
+  // Idempotent, and a rejoin makes it wait again.
+  scheduler.LeaveQuorum(2);
+  EXPECT_TRUE(scheduler.ShouldExecute(101));
+  scheduler.JoinQuorum(2);
+  scheduler.JoinQuorum(2);
+  EXPECT_FALSE(scheduler.ShouldExecute(101));
+}
+
+TEST(BatchSchedulerTest, ClosingTheMissingSessionMakesTheBatchDue) {
+  server::BatchScheduler scheduler(QuorumOptions());
+  scheduler.JoinQuorum(1);
+  scheduler.JoinQuorum(2);
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 100)));
+  EXPECT_FALSE(scheduler.ShouldExecute(101));
+  scheduler.DropSession(2);
+  EXPECT_TRUE(scheduler.ShouldExecute(101));
+  EXPECT_EQ(scheduler.pending_queries(), 1u);
+}
+
+TEST(BatchSchedulerTest, SilentMemberHoldsTheBatchForExactlyTheWindow) {
+  auto backend = VersionedBackend::FromMesh(MakeBox(4), 1);
+  server::BatchScheduler scheduler(QuorumOptions());
+  server::ServerMetrics metrics;
+  scheduler.JoinQuorum(1);
+  scheduler.JoinQuorum(2);  // never sends
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 100)));
+  EXPECT_EQ(scheduler.NanosUntilDue(100), 1'000);
+  EXPECT_EQ(scheduler.NanosUntilDue(1'099), 1);
+  EXPECT_FALSE(scheduler.ShouldExecute(1'099));
+  EXPECT_EQ(scheduler.NanosUntilDue(1'100), 0);
+  EXPECT_TRUE(scheduler.ShouldExecute(1'100));
+  std::vector<server::CompletedRequest> completed;
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics, 1'100);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(metrics.batches_executed, 1u);
+  EXPECT_EQ(metrics.batches_quorum, 0u);  // the window dispatched it
+}
+
+TEST(BatchSchedulerTest, SizeTriggerStillWinsOverAnIncompleteQuorum) {
+  auto backend = VersionedBackend::FromMesh(MakeBox(4), 1);
+  server::SchedulerOptions options = QuorumOptions();
+  options.max_batch_queries = 2;
+  server::BatchScheduler scheduler(options);
+  server::ServerMetrics metrics;
+  scheduler.JoinQuorum(1);
+  scheduler.JoinQuorum(2);
+  scheduler.JoinQuorum(3);
+  server::PendingRequest big = QuorumRequest(1, 100);
+  big.boxes.resize(2, big.boxes[0]);
+  ASSERT_TRUE(scheduler.Enqueue(std::move(big)));
+  EXPECT_TRUE(scheduler.ShouldExecute(101));
+  std::vector<server::CompletedRequest> completed;
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics, 101);
+  EXPECT_EQ(metrics.batches_executed, 1u);
+  EXPECT_EQ(metrics.batches_quorum, 0u);
+}
+
+TEST(BatchSchedulerTest, HugeWindowSaturatesInsteadOfOverflowing) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  server::SchedulerOptions options;
+  options.window_nanos = kMax;
+  server::BatchScheduler scheduler(options);
+  scheduler.JoinQuorum(2);  // keeps the batch waiting on the window
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 100)));
+  EXPECT_EQ(scheduler.NanosUntilDue(101), kMax - 101);
+  EXPECT_FALSE(scheduler.ShouldExecute(kMax - 1));
 }
 
 // --- Observability: /metrics endpoint and flight-recorder dumps ---
@@ -1413,6 +1644,7 @@ TEST(ServerIntegrationTest, OverloadIsExplicitAcrossIoThreads) {
 
   auto client_a = MustConnect(fixture.port());
   auto client_b = MustConnect(fixture.port());
+  QuorumHolder holder(fixture.port());
 
   Result<client::RemoteBatchResult> result_a =
       Status::IOError("not run");

@@ -60,6 +60,7 @@ REQUIRED = [
     "octopus_queries_rejected_total",
     "octopus_queries_executed_total",
     "octopus_batches_executed_total",
+    "octopus_batches_quorum_total",
     "octopus_results_sent_total",
     "octopus_errors_sent_total",
     "octopus_slow_queries_total",

@@ -29,6 +29,11 @@ When also given BENCH_server.json, additionally enforces:
     counters): the batch-shared grid probe tests ~1/30 of the surface
     per query at bench scales 0.2 to 1, so more than 1/8 means it
     degraded towards the full scan.
+  * quorum dispatch — in `loopback_1client`, every batch must have been
+    dispatched on a complete quorum (`batches_quorum ==
+    batches_executed`): a lone client is its own quorum, so none of its
+    requests may wait out the coalescing window. Deterministic (pure
+    counters).
 
 Usage: check_perf_smoke.py [BENCH_dynamic.json] [BENCH_server.json]
 """
@@ -66,10 +71,27 @@ def check_probe(records: list, path: str, failures: list) -> None:
           f"{len(configs)} configs (bound {MAX_PROBED_SHARE_OF_SURFACE:.3f})")
 
 
+def check_quorum(records: list, path: str, failures: list) -> None:
+    lone = [r for r in records if r.get("name") == "loopback_1client"]
+    if len(lone) != 1:
+        failures.append(f"expected one loopback_1client record in {path}, "
+                        f"found {len(lone)}")
+        return
+    quorum = lone[0].get("batches_quorum")
+    executed = lone[0].get("batches_executed")
+    print(f"  loopback_1client quorum   = {quorum} of {executed} batches "
+          f"(must be all)")
+    if quorum is None or not executed or quorum != executed:
+        failures.append(
+            f"loopback_1client: {quorum} of {executed} batches dispatched "
+            f"on a complete quorum: a lone client waited for the window")
+
+
 def check_server(path: str, failures: list) -> None:
     with open(path) as f:
         records = json.load(f)
     check_probe(records, path, failures)
+    check_quorum(records, path, failures)
     summaries = [r for r in records if r.get("name") == "server_summary"]
     if len(summaries) != 1:
         failures.append(f"expected one server_summary record in {path}, "

@@ -111,7 +111,11 @@ void PrintUsage(std::FILE* out) {
       "sharded by fd (default\n"
       "      min(4, hardware threads); 1 = the single-loop front end); "
       "--threads N sizes the\n"
-      "      engine's query pool;\n"
+      "      engine's query pool; --window-us N is the upper bound on "
+      "how long a request waits\n"
+      "      for other clients (default 2000; a batch runs at once when "
+      "every query client has\n"
+      "      a request queued);\n"
       "      <mesh> is an .oct2 snapshot served out of core. --deform "
       "binds a simulation\n"
       "      deformer (epoch-versioned serving); --step-every advances "
@@ -741,10 +745,18 @@ int CmdServe(int argc, char** argv) {
       options.io_threads = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--window-us") == 0 && i + 1 < argc) {
       // Strict like --port: 0 is a meaningful window, so garbage must
-      // not silently become it.
+      // not silently become it. Capped at an hour so the nanosecond
+      // conversion cannot overflow.
       char* end = nullptr;
       const long long us = std::strtoll(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || us < 0) return Usage();
+      if (end == argv[i] || *end != '\0' || us < 0 ||
+          us > 3'600'000'000) {
+        std::fprintf(stderr,
+                     "--window-us must be between 0 and 3600000000 "
+                     "microseconds (got \"%s\")\n",
+                     argv[i]);
+        return 2;
+      }
       options.scheduler.window_nanos = us * 1000;
     } else if (std::strcmp(argv[i], "--max-batch") == 0 && i + 1 < argc) {
       long n = 0;
