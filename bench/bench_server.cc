@@ -9,6 +9,7 @@
 // too. Emits BENCH_server.json.
 #include <algorithm>
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -96,24 +97,32 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
   }
   std::thread server_thread([&srv] { (void)srv.Run(); });
 
-  // In-process reference for client 0's workload, precomputed OUTSIDE
-  // the timed region (the query sequence is seed-deterministic), so
-  // parity verification does not skew the throughput comparison.
+  // Every client's queries, generated before the clock starts: the
+  // generator runs 40 histogram estimates per box, which inside the
+  // timed loop cost more than a 1-client request's whole latency. The
+  // in-process reference for client 0 is precomputed here too (the
+  // query sequences are seed-deterministic), so parity verification
+  // does not skew the throughput comparison.
+  std::vector<std::vector<std::vector<AABB>>> queries(
+      static_cast<size_t>(config.clients));
+  {
+    QueryGenerator gen(mesh);
+    for (int c = 0; c < config.clients; ++c) {
+      Rng rng(0xBE7C + static_cast<uint64_t>(c));
+      for (int r = 0; r < config.requests_per_client; ++r) {
+        queries[c].push_back(gen.MakeQueries(
+            &rng, config.queries_per_request, 0.0011, 0.0018));
+      }
+    }
+  }
   Octopus reference;
   reference.Build(mesh);
   engine::QueryEngine reference_engine;
-  std::vector<std::vector<AABB>> client0_queries;
   std::vector<engine::QueryBatchResult> client0_expected(
       static_cast<size_t>(config.requests_per_client));
-  {
-    QueryGenerator gen(mesh);
-    Rng rng(0xBE7C);
-    for (int r = 0; r < config.requests_per_client; ++r) {
-      client0_queries.push_back(gen.MakeQueries(
-          &rng, config.queries_per_request, 0.0011, 0.0018));
-      reference_engine.Execute(reference, mesh, client0_queries.back(),
-                               &client0_expected[r]);
-    }
+  for (int r = 0; r < config.requests_per_client; ++r) {
+    reference_engine.Execute(reference, mesh, queries[0][r],
+                             &client0_expected[r]);
   }
 
   BenchOutcome outcome;
@@ -123,31 +132,32 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
   std::vector<char> client_ok(static_cast<size_t>(config.clients), 1);
   std::vector<double> client_wall(static_cast<size_t>(config.clients),
                                   0.0);
-  Timer wall;
+  // Start barrier: every client thread is spawned and connected (its
+  // HELLO answered) before the clock starts, so the timed region holds
+  // only requests.
+  std::latch connected(config.clients);
+  std::latch start(1);
   for (int c = 0; c < config.clients; ++c) {
     clients.emplace_back([&, c] {
-      Timer client_timer;
-      auto connected =
+      auto connection =
           client::RemoteClient::Connect("127.0.0.1", srv.port());
-      if (!connected.ok()) {
+      connected.count_down();
+      start.wait();
+      if (!connection.ok()) {
         client_ok[c] = 0;
         return;
       }
-      QueryGenerator gen(mesh);
-      Rng rng(0xBE7C + static_cast<uint64_t>(c));
+      Timer client_timer;
       for (int r = 0; r < config.requests_per_client; ++r) {
-        const std::vector<AABB> queries =
-            c == 0 ? client0_queries[r]
-                   : gen.MakeQueries(&rng, config.queries_per_request,
-                                     0.0011, 0.0018);
-        auto result = connected.Value()->ExecuteBatch(queries);
+        const std::vector<AABB>& batch = queries[c][r];
+        auto result = connection.Value()->ExecuteBatch(batch);
         if (!result.ok()) {
           client_ok[c] = 0;
           return;
         }
         if (c == 0) {
           // Loopback parity against the precomputed in-process results.
-          for (size_t q = 0; q < queries.size(); ++q) {
+          for (size_t q = 0; q < batch.size(); ++q) {
             if (result.Value().results.per_query[q] !=
                 client0_expected[r].per_query[q]) {
               client_ok[c] = 0;
@@ -159,6 +169,9 @@ BenchOutcome RunConfig(const BenchConfig& config, const TetraMesh& mesh,
       client_wall[c] = client_timer.ElapsedSeconds();
     });
   }
+  connected.wait();
+  Timer wall;
+  start.count_down();
   for (auto& t : clients) t.join();
   outcome.wall_seconds = wall.ElapsedSeconds();
 

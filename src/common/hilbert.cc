@@ -96,9 +96,12 @@ uint64_t HilbertCurve3D::EncodePoint(const Vec3& p, const AABB& bounds) const {
   const Vec3 ext = bounds.Extent();
   auto quantize = [cells](float v, float lo, float extent) -> uint32_t {
     if (extent <= 0.0f) return 0;
-    float t = (v - lo) / extent;
-    t = std::clamp(t, 0.0f, 1.0f);
-    uint32_t q = static_cast<uint32_t>(t * static_cast<float>(cells));
+    const float t = (v - lo) / extent;
+    // `!(t > 0)` also catches NaN (an infinite extent or point), which
+    // the cast below could not take.
+    if (!(t > 0.0f)) return 0;
+    uint32_t q = static_cast<uint32_t>(std::min(t, 1.0f) *
+                                       static_cast<float>(cells));
     return std::min(q, cells - 1);
   };
   return Encode(quantize(p.x, bounds.min.x, ext.x),

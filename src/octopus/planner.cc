@@ -17,7 +17,9 @@ void AdaptiveExecutor::Build(const TetraMesh& mesh) {
   // routing only needs the right order of magnitude).
   histogram_.Build(mesh.positions());
   const CostConstants constants =
-      CalibrateCostConstants(mesh, options_.calibration_repetitions);
+      options_.cost_constants.has_value()
+          ? *options_.cost_constants
+          : CalibrateCostConstants(mesh, options_.calibration_repetitions);
   const CostModel model = CostModel::FromMesh(mesh, constants);
   break_even_ = model.BreakEvenSelectivity();
   to_octopus_ = 0;

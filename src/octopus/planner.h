@@ -9,6 +9,7 @@
 #define OCTOPUS_OCTOPUS_PLANNER_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/histogram3d.h"
@@ -29,6 +30,10 @@ class AdaptiveExecutor : public SpatialIndex {
     int histogram_resolution = 24;
     /// Calibration repetitions for the cost constants.
     int calibration_repetitions = 2;
+    /// Cost constants to route on instead of calibrating: when set,
+    /// `Build` skips the wall-clock calibration, so routing is a pure
+    /// function of the mesh and the box (deterministic tests).
+    std::optional<CostConstants> cost_constants;
   };
 
   AdaptiveExecutor();  // default options
@@ -37,7 +42,8 @@ class AdaptiveExecutor : public SpatialIndex {
   std::string Name() const override { return "OCTOPUS-Adaptive"; }
 
   /// Builds the OCTOPUS surface index, the selectivity histogram and
-  /// calibrates the cost model on this mesh.
+  /// calibrates the cost model on this mesh (unless the options inject
+  /// the constants).
   void Build(const TetraMesh& mesh) override;
 
   /// No-op (neither sub-approach needs per-step maintenance).

@@ -1,9 +1,40 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "octopus/query_executor.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
+#include <utility>
+
+#include "common/hilbert.h"
 
 namespace octopus {
+
+namespace internal {
+
+std::vector<uint32_t> HilbertBatchOrder(std::span<const AABB> boxes) {
+  AABB bounds;
+  for (const AABB& box : boxes) {
+    if (!box.IsFinite()) continue;
+    // Both corners: an inverted box's center lies between them too.
+    bounds.Extend(box.min);
+    bounds.Extend(box.max);
+  }
+  const HilbertCurve3D curve(10);
+  std::vector<std::pair<uint64_t, uint32_t>> keyed(boxes.size());
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    keyed[q] = {boxes[q].IsFinite()
+                    ? curve.EncodePoint(boxes[q].Center(), bounds)
+                    : std::numeric_limits<uint64_t>::max(),
+                static_cast<uint32_t>(q)};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<uint32_t> order(boxes.size());
+  for (size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
+  return order;
+}
+
+}  // namespace internal
 
 void ExecuteOctopusQuery(const MeshGraphView& graph,
                          const SurfaceIndex& surface_index,

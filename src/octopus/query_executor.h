@@ -140,6 +140,14 @@ void RunQuery(Accessor& mesh, const AABB& box, const Probe& probe,
   stats->crawl_nanos += timer.ElapsedNanos();
 }
 
+/// The batch's execution order (Sec. IV-H1 applied to the batch): query
+/// indices sorted by the 3-D Hilbert key (10 bits per axis) of each box's
+/// center within the union of the batch's finite boxes, ties by arrival
+/// index. Boxes with a non-finite coordinate come last, in arrival order.
+/// Consecutive queries then crawl neighbouring pages of a Hilbert-laid-out
+/// snapshot while those are still leased or pooled.
+std::vector<uint32_t> HilbertBatchOrder(std::span<const AABB> boxes);
+
 }  // namespace internal
 
 /// Algorithm 1 for one query over any mesh accessor, with the paper's
@@ -166,14 +174,16 @@ void ExecuteOctopusQuery(Accessor& mesh, const SurfaceIndex& surface_index,
 
 /// Batch core shared by every OCTOPUS executor (`Octopus`, `HexOctopus`,
 /// `PagedOctopus`): resets `out`, clamps the shard count to min(pool
-/// width, batch size), runs each shard's contiguous query range on its
-/// own context (grown via `contexts->Ensure` on the calling thread
-/// before forking), and merges per-shard stats into the pool's aggregate
-/// in deterministic shard order after the pool joins. `pool` may be null
-/// (sequential). `make_accessor(context)` supplies the shard's mesh
-/// accessor — by value for the free in-memory view, by reference for a
-/// context-owned paged accessor. Per-query results are independent of
-/// the shard count.
+/// width, batch size), runs each shard's contiguous run of the batch's
+/// execution order (`internal::HilbertBatchOrder`) on its own context
+/// (grown via `contexts->Ensure` on the calling thread before forking),
+/// and merges per-shard stats into the pool's aggregate in deterministic
+/// shard order after the pool joins. `pool` may be null (sequential).
+/// `make_accessor(context)` supplies the shard's mesh accessor — by value
+/// for the free in-memory view, by reference for a context-owned paged
+/// accessor. Per-query results land at their arrival index and are
+/// independent of the shard count and of the order; only page counters
+/// depend on the order.
 ///
 /// Phase 1 is batch-shared: before the fork, the calling thread bins the
 /// (sampled) probe positions into the pool's `ProbeGrid` through shard
@@ -212,9 +222,11 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
     contexts->context(0)->stats.probe_nanos += timer.ElapsedNanos();
   }
 
+  const std::vector<uint32_t> order = internal::HilbertBatchOrder(boxes);
   auto run_queries = [&](auto& accessor, engine::ExecutionContext* context,
                          size_t begin, size_t end) {
-    for (size_t q = begin; q < end; ++q) {
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t q = order[i];
       const AABB& box = boxes[q];
       internal::RunQuery(
           accessor, box,
@@ -237,7 +249,7 @@ void ExecuteOctopusBatch(const MakeAccessor& make_accessor,
     // The pool always invokes one call per pool thread; threads beyond
     // the (batch-size-clamped) shard count have no work.
     if (shard >= shards) return;
-    // Contiguous sharding: shard s owns queries [s*n/T, (s+1)*n/T).
+    // Contiguous sharding: shard s owns order[s*n/T, (s+1)*n/T).
     const size_t begin = boxes.size() * shard / shards;
     const size_t end = boxes.size() * (shard + 1) / shards;
     engine::ExecutionContext* context = contexts->context(shard);

@@ -89,37 +89,47 @@ engine::EpochInfo EpochStore::CurrentInfo() const {
 
 Result<PinnedEpochState> EpochStore::PinEpoch(
     engine::EpochId id, storage::PageIOStats* reload_stats) {
-  common::MutexLock lock(mu_);
-  if (Entry* found = FindLocked(id)) {
-    Entry& entry = *found;
-    if (!entry.spilled || entry.overlay != nullptr ||
-        entry.spill_first == storage::kInvalidPageId) {
+  engine::EpochInfo info;
+  storage::PageId spill_first = storage::kInvalidPageId;
+  size_t spill_count = 0;
+  {
+    common::MutexLock lock(mu_);
+    const Entry* entry = FindLocked(id);
+    if (entry == nullptr) {
+      return Status::NotFound(
+          "epoch " + std::to_string(id) +
+          " is gone: evicted from the bounded history (or never "
+          "published)");
+    }
+    if (!entry->spilled || entry->overlay != nullptr ||
+        entry->spill_first == storage::kInvalidPageId) {
       // Resident, sidecar-backed overlay, or the overlay-less initial
       // epoch (the base snapshot is its state): hand it out as-is.
-      return PinnedEpochState{entry.info, entry.overlay, entry.positions};
+      return PinnedEpochState{entry->info, entry->overlay,
+                              entry->positions};
     }
-    // Spilled in-memory epoch: rematerialize the position array from
-    // the sidecar, transiently — it is NOT cached back, so memory stays
-    // O(window) between historical queries. (The reload runs under the
-    // ring mutex, briefly delaying a concurrent step; at monitoring
-    // batch rates that is noise, and it keeps publication trivially
-    // atomic.)
-    auto reloaded = std::make_shared<PositionEpoch>();
-    reloaded->info = entry.info;
-    reloaded->positions.resize(entry.spill_count);
-    const Status read = spill_->ReadPositions(
-        entry.spill_first, entry.spill_count, reloaded->positions.data(),
-        reload_stats);
-    if (!read.ok()) return read;
-    if (journal_ != nullptr) {
-      journal_->Emit(obs::EventKind::kEpochReloaded, id, 0,
-                     entry.spill_count);
-    }
-    return PinnedEpochState{entry.info, nullptr, std::move(reloaded)};
+    info = entry->info;
+    spill_first = entry->spill_first;
+    spill_count = entry->spill_count;
   }
-  return Status::NotFound(
-      "epoch " + std::to_string(id) +
-      " is gone: evicted from the bounded history (or never published)");
+  // Spilled in-memory epoch: rematerialize the position array from the
+  // sidecar, transiently — it is NOT cached back, so memory stays
+  // O(window) between historical queries. The read runs with the ring
+  // unlocked, so `Publish` and other pins never wait out a reload. That
+  // is safe only because sidecar pages are append-only: an entry evicted
+  // meanwhile leaves its pages intact. A free list that reuses evicted
+  // epochs' pages (ROADMAP item 6) must pin pages against reuse before
+  // this read starts.
+  auto reloaded = std::make_shared<PositionEpoch>();
+  reloaded->info = info;
+  reloaded->positions.resize(spill_count);
+  const Status read = spill_->ReadPositions(
+      spill_first, spill_count, reloaded->positions.data(), reload_stats);
+  if (!read.ok()) return read;
+  if (journal_ != nullptr) {
+    journal_->Emit(obs::EventKind::kEpochReloaded, id, 0, spill_count);
+  }
+  return PinnedEpochState{info, nullptr, std::move(reloaded)};
 }
 
 Result<engine::EpochInfo> EpochStore::AddPin(engine::EpochId id) {

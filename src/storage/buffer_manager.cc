@@ -1,6 +1,9 @@
 // Copyright 2026 The OCTOPUS Reproduction Authors
 #include "storage/buffer_manager.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -28,33 +31,28 @@ Result<std::unique_ptr<BufferManager>> BufferManager::Open(
         "buffer pool must cover at least 2 pages (" +
         std::to_string(2 * page_bytes) + " bytes)");
   }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open for read: " + path);
   }
   return std::unique_ptr<BufferManager>(
-      new BufferManager(file, page_bytes, num_pages, options));
+      new BufferManager(fd, page_bytes, num_pages, options));
 }
 
-BufferManager::BufferManager(std::FILE* file, size_t page_bytes,
-                             uint64_t num_pages, const Options& options)
+BufferManager::BufferManager(int fd, size_t page_bytes, uint64_t num_pages,
+                             const Options& options)
     : options_(options),
       page_bytes_(page_bytes),
       max_frames_(options.pool_bytes / page_bytes),
-      num_pages_(num_pages),
-      file_(file) {
+      fd_(fd),
+      num_pages_(num_pages) {
   // Frames allocate lazily; only pre-reserve bookkeeping for pools that
   // plausibly fill (a generous cap can exceed the snapshot many times
   // over).
   frames_.reserve(std::min<size_t>(max_frames_, num_pages));
 }
 
-BufferManager::~BufferManager() {
-  // No readers are live at destruction; the lock only satisfies the
-  // analysis (file_ is guarded) at zero contention.
-  common::MutexLock lock(mu_);
-  std::fclose(file_);
-}
+BufferManager::~BufferManager() { ::close(fd_); }
 
 size_t BufferManager::AllocatedBytes() const {
   common::MutexLock lock(mu_);
@@ -147,26 +145,7 @@ const std::byte* BufferManager::Pin(PageId page, PageIOStats* stats) {
       continue;
     }
 
-    Frame& frame = frames_[index];
-    // Read under the lock: the FILE* seek+read pair is not atomic, and
-    // serialized I/O is fine at reproduction scale.
-    if (std::fseek(file_,
-                   static_cast<long>(page * page_bytes_), SEEK_SET) != 0 ||
-        std::fread(frame.data.get(), 1, page_bytes_, file_) !=
-            page_bytes_) {
-      // The writer pads every page to full size, so a short read means
-      // the file was truncated after open — unrecoverable mid-query.
-      assert(false && "snapshot page read failed");
-      std::memset(frame.data.get(), 0, page_bytes_);
-    }
-    frame.page = page;
-    frame.pins = 1;
-    frame.lru_tick = ++tick_;
-    frame.referenced = true;
-    page_to_frame_[page] = index;
-    ++stats->page_misses;
-    ++totals_.page_misses;
-    return frame.data.get();
+    return LoadFrame(index, page, stats);
   }
 }
 
@@ -185,10 +164,20 @@ const std::byte* BufferManager::TryPin(PageId page, PageIOStats* stats) {
   }
   const size_t index = TryAcquireFrame(stats);
   if (index == max_frames_) return nullptr;  // every frame pinned
+  return LoadFrame(index, page, stats);
+}
+
+const std::byte* BufferManager::LoadFrame(size_t index, PageId page,
+                                          PageIOStats* stats) {
   Frame& frame = frames_[index];
-  if (std::fseek(file_, static_cast<long>(page * page_bytes_), SEEK_SET) !=
-          0 ||
-      std::fread(frame.data.get(), 1, page_bytes_, file_) != page_bytes_) {
+  // Still read under the lock, so a second reader of the same page
+  // waits for this load instead of loading it into another frame.
+  const auto offset = static_cast<off_t>(page) *
+                      static_cast<off_t>(page_bytes_);
+  if (::pread(fd_, frame.data.get(), page_bytes_, offset) !=
+      static_cast<ssize_t>(page_bytes_)) {
+    // The writer pads every page to full size, so a short read means
+    // the file was truncated after open — unrecoverable mid-query.
     assert(false && "snapshot page read failed");
     std::memset(frame.data.get(), 0, page_bytes_);
   }

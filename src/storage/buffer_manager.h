@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -109,8 +108,14 @@ class BufferManager {
     bool referenced = false;  // second-chance bit (clock)
   };
 
-  BufferManager(std::FILE* file, size_t page_bytes, uint64_t num_pages,
+  BufferManager(int fd, size_t page_bytes, uint64_t num_pages,
                 const Options& options);
+
+  /// Reads `page` into the acquired frame `index` with one `pread`,
+  /// maps it and counts the miss; returns the frame's memory, pinned
+  /// once.
+  const std::byte* LoadFrame(size_t index, PageId page, PageIOStats* stats)
+      REQUIRES(mu_);
 
   /// Returns the index of a frame ready to receive a new page (growing
   /// the pool or evicting), or `max_frames()` when every frame is
@@ -123,11 +128,13 @@ class BufferManager {
   const Options options_;
   const size_t page_bytes_;
   const size_t max_frames_;
+  /// Read-only descriptor of the file; `pread` carries its own offset,
+  /// so the descriptor itself needs no lock.
+  const int fd_;
 
   mutable common::Mutex mu_;
   common::CondVar frame_freed_;
   uint64_t num_pages_ GUARDED_BY(mu_);  // grows via ExtendTo
-  std::FILE* file_ GUARDED_BY(mu_);     // seek+read are not atomic
   std::vector<Frame> frames_ GUARDED_BY(mu_);
   std::unordered_map<PageId, size_t> page_to_frame_ GUARDED_BY(mu_);
   uint64_t tick_ GUARDED_BY(mu_) = 0;

@@ -156,6 +156,10 @@ TEST(HilbertTest, EncodePointClampsOutOfBounds) {
   const uint64_t above = curve.EncodePoint(Vec3(9, 9, 9), bounds);
   const uint64_t at_max = curve.EncodePoint(Vec3(1, 1, 1), bounds);
   EXPECT_EQ(above, at_max);
+  // Finite bounds whose extent overflows to infinity: the far corner
+  // normalizes to inf/inf = NaN, which maps to cell 0.
+  const AABB huge(Vec3(-3e38f, -3e38f, -3e38f), Vec3(3e38f, 3e38f, 3e38f));
+  EXPECT_EQ(curve.EncodePoint(huge.max, huge), curve.Encode(0, 0, 0));
 }
 
 // ---------- Histogram3D ----------

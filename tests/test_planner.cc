@@ -20,6 +20,16 @@ TetraMesh MakeBox(int n) {
       .MoveValue();
 }
 
+// Routing tests run on injected constants (the paper's CS and CR, with
+// CP = CS), so the break-even is a pure function of the mesh: routing
+// never depends on how busy the machine was while calibrating.
+AdaptiveExecutor::Options InjectedConstants() {
+  AdaptiveExecutor::Options options;
+  options.cost_constants =
+      CostConstants{.cs_seconds = 6.6e-9, .cr_seconds = 2.7e-8};
+  return options;
+}
+
 TEST(PlannerTest, BreakEvenIsCalibrated) {
   // The basin slab has S ~ 0.15: OCTOPUS wins small queries there, so
   // the Eq. 6 threshold must land in (0, 1).
@@ -51,7 +61,7 @@ TEST(PlannerTest, AlwaysScanWhenProbeCannotWin) {
 TEST(PlannerTest, RoutesSmallQueriesToOctopusLargeToScan) {
   const TetraMesh mesh =
       MakeEarthquakeMesh(EarthquakeResolution::kSF1, 0.3).MoveValue();
-  AdaptiveExecutor adaptive;
+  AdaptiveExecutor adaptive(InjectedConstants());
   adaptive.Build(mesh);
   std::vector<VertexId> out;
 
@@ -72,6 +82,14 @@ TEST(PlannerTest, RoutesSmallQueriesToOctopusLargeToScan) {
 }
 
 TEST(PlannerTest, ExactEitherWay) {
+  // Still calibrated, deliberately. Under the injected constants
+  // (break-even 0.0152) step 2 query 2 (estimated selectivity 0.0098)
+  // routes to OCTOPUS, whose stale-index crawl misses one interior
+  // vertex with no neighbour in the box, so this test would fail every
+  // run. A calibrated break-even above 0.0098 fails the same way; one
+  // below 0.0003 routes nothing to OCTOPUS. Those are the flakes. The
+  // miss is OCTOPUS's, not the planner's (ROADMAP item 2); picking
+  // constants that keep the query on the scan would hide it.
   TetraMesh mesh =
       MakeEarthquakeMesh(EarthquakeResolution::kSF1, 0.3).MoveValue();
   AdaptiveExecutor adaptive;

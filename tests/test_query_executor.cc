@@ -7,19 +7,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 
+#include "common/hilbert.h"
 #include "engine/thread_pool.h"
 #include "mesh/generators/datasets.h"
 #include "mesh/generators/grid_generator.h"
+#include "mesh/mesh_io.h"
 #include "octopus/octopus_con.h"
+#include "octopus/paged_executor.h"
 #include "octopus/query_executor.h"
 #include "sim/plasticity_deformer.h"
 #include "sim/random_deformer.h"
 #include "sim/restructurer.h"
 #include "sim/wave_deformer.h"
 #include "sim/workload.h"
+#include "storage/snapshot.h"
 #include "test_util.h"
 
 namespace octopus {
@@ -686,6 +691,93 @@ TEST(GridProbeTest, InvertedBoxesFindTheScansWalkStart) {
     if (mask & 4) std::swap(box.min.z, box.max.z);
     ExpectGridMatchesScan(accessor, surface, 1, grid, box);
   }
+}
+
+// ---------- Batch execution order ----------
+
+TEST(BatchOrderTest, HilbertOrderSortsByCenterKeyTiesAndNonFiniteByArrival) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const AABB a(Vec3(0, 0, 0), Vec3(1, 1, 1));
+  const AABB b(Vec3(9, 9, 9), Vec3(10, 10, 10));
+  const AABB bad(Vec3(0, 0, std::nanf("")), Vec3(1, 1, 1));
+  const AABB wide(Vec3(-kInf, 0, 0), Vec3(kInf, 1, 1));
+  const HilbertCurve3D curve(10);
+  const AABB bounds(Vec3(0, 0, 0), Vec3(10, 10, 10));
+  const bool a_first = curve.EncodePoint(a.Center(), bounds) <
+                       curve.EncodePoint(b.Center(), bounds);
+  // Arrival: b, a, NaN box, b again (an equal key), infinite box.
+  const std::vector<AABB> boxes = {b, a, bad, b, wide};
+  const std::vector<uint32_t> order = internal::HilbertBatchOrder(boxes);
+  const std::vector<uint32_t> expected =
+      a_first ? std::vector<uint32_t>{1, 0, 3, 2, 4}
+              : std::vector<uint32_t>{0, 3, 1, 2, 4};
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(internal::HilbertBatchOrder({}).empty());
+}
+
+// A paged batch that touches many times the pool: the Hilbert order must
+// change page costs only. Results and every other counter equal the
+// single-query path at 1 and 4 threads, and on one thread priced page
+// accesses stay close to the distinct pages the batch touched.
+TEST(BatchOrderTest, PagedBatchMuchLargerThanThePool) {
+  const TetraMesh mesh = MakeNeuroMesh(1, 0.2).MoveValue();
+  const std::string path = ::testing::TempDir() + "/batch_order.oct2";
+  ASSERT_TRUE(SaveSnapshot(mesh, path,
+                           storage::SnapshotOptions{
+                               .page_bytes = 1024,
+                               .layout = storage::SnapshotLayout::kHilbert})
+                  .ok());
+  PagedOctopus::Options options;
+  options.pool.pool_bytes = 32 * 1024;
+  auto opened = PagedOctopus::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  PagedOctopus& paged = *opened.Value();
+
+  QueryGenerator gen(mesh);
+  Rng rng(0x0DE4);
+  const std::vector<AABB> boxes = gen.MakeQueries(&rng, 88, 0.0018, 0.0018);
+
+  // The single-query (scanning) path, and one-box batches for the probe
+  // candidates: the grid's per-query candidates do not depend on the
+  // rest of the batch.
+  std::vector<std::vector<VertexId>> expected(boxes.size());
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    paged.RangeQuery(boxes[q], &expected[q]);
+  }
+  const PhaseStats single = paged.stats();
+  paged.ResetStats();
+  engine::QueryBatchResult one;
+  for (const AABB& box : boxes) paged.RangeQueryBatch({&box, 1}, &one);
+  const size_t one_box_probed = paged.stats().probed_vertices;
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    engine::ThreadPool pool(threads);
+    paged.ResetStats();
+    engine::QueryBatchResult results;
+    paged.RangeQueryBatch(boxes, &results, threads > 1 ? &pool : nullptr);
+    ASSERT_EQ(results.size(), boxes.size());
+    for (size_t q = 0; q < boxes.size(); ++q) {
+      EXPECT_EQ(results.per_query[q], expected[q]) << "query " << q;
+    }
+    const PhaseStats& stats = paged.stats();
+    EXPECT_EQ(stats.queries, single.queries);
+    EXPECT_EQ(stats.walk_invocations, single.walk_invocations);
+    EXPECT_EQ(stats.walk_vertices, single.walk_vertices);
+    EXPECT_EQ(stats.crawl_edges, single.crawl_edges);
+    EXPECT_EQ(stats.result_vertices, single.result_vertices);
+    EXPECT_EQ(stats.probed_vertices, one_box_probed);
+    if (threads == 1) {
+      // Deterministic on one shard: 1.44 in Hilbert order, 2.48 in
+      // arrival order (the batch touches 414 distinct pages through a
+      // 32-page pool).
+      const storage::PageIOStats& io = stats.page_io;
+      EXPECT_LE(2 * io.PageAccesses(), 3 * io.pages_distinct)
+          << "accesses=" << io.PageAccesses()
+          << " distinct=" << io.pages_distinct;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
