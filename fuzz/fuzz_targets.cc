@@ -101,9 +101,13 @@ void ParsePayload(FrameType type, std::span<const uint8_t> payload) {
       break;
     }
     case FrameType::kStatsRequest:
-    case FrameType::kTraceDumpRequest:
-      // Empty-payload verbs; nothing to parse.
+    case FrameType::kTraceDumpRequest: {
+      // Empty-payload verbs: any byte at all is malformed.
+      const Status st = server::ParseEmpty(payload, "REQUEST");
+      assert(st.ok() == payload.empty());
+      (void)st;
       break;
+    }
   }
 }
 

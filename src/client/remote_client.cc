@@ -82,17 +82,9 @@ Result<std::unique_ptr<RemoteClient>> RemoteClient::Connect(
   server::AppendHello(&hello, server::HelloFrame{});
   OCTOPUS_RETURN_NOT_OK(client->SendAll(hello));
 
-  FrameType type;
   Buffer payload;
-  OCTOPUS_RETURN_NOT_OK(client->ReadFrame(&type, &payload));
-  if (type == FrameType::kError) {
-    server::ErrorFrame error;
-    OCTOPUS_RETURN_NOT_OK(server::ParseError(payload, &error));
-    return client->StatusFromError(error);
-  }
-  if (type != FrameType::kWelcome) {
-    return Status::IOError("handshake: expected WELCOME frame");
-  }
+  OCTOPUS_RETURN_NOT_OK(
+      client->ReadReply(FrameType::kWelcome, "WELCOME", &payload));
   OCTOPUS_RETURN_NOT_OK(server::ParseWelcome(payload, &client->welcome_));
   if (client->welcome_.version != server::kProtocolVersion) {
     return Status::IOError("server protocol version " +
@@ -170,6 +162,22 @@ Status RemoteClient::ReadFrame(FrameType* type, Buffer* payload,
   return Status::OK();
 }
 
+Status RemoteClient::ReadReply(FrameType expected, const char* name,
+                               Buffer* payload, int64_t* first_byte_nanos) {
+  FrameType type;
+  OCTOPUS_RETURN_NOT_OK(ReadFrame(&type, payload, first_byte_nanos));
+  if (type == FrameType::kError) {
+    server::ErrorFrame error;
+    OCTOPUS_RETURN_NOT_OK(server::ParseError(*payload, &error));
+    return StatusFromError(error);
+  }
+  if (type != expected) {
+    Close();
+    return Status::IOError(std::string("expected ") + name + " frame");
+  }
+  return Status::OK();
+}
+
 Status RemoteClient::StatusFromError(const server::ErrorFrame& error) {
   const std::string text = std::string("server error ") +
                            server::ErrorCodeName(error.code) + ": " +
@@ -218,21 +226,11 @@ Result<RemoteBatchResult> RemoteClient::ExecuteBatch(
 
   // Responses to a blocking client arrive in request order; skip
   // nothing, but verify the id actually matches.
-  FrameType type;
   Buffer payload;
   int64_t first_byte_at = 0;
   OCTOPUS_RETURN_NOT_OK(
-      ReadFrame(&type, &payload,
+      ReadReply(FrameType::kResult, "RESULT", &payload,
                 record_spans_ ? &first_byte_at : nullptr));
-  if (type == FrameType::kError) {
-    server::ErrorFrame error;
-    OCTOPUS_RETURN_NOT_OK(server::ParseError(payload, &error));
-    return StatusFromError(error);
-  }
-  if (type != FrameType::kResult) {
-    Close();
-    return Status::IOError("expected RESULT frame");
-  }
   uint64_t got_id = 0;
   RemoteBatchResult result;
   std::vector<std::vector<VertexId>> per_query;
@@ -273,18 +271,9 @@ Result<RemoteBatchResult> RemoteClient::ExecuteBatch(
 Result<server::EpochInfoWire> RemoteClient::RoundTripEpochInfo(
     const Buffer& request) {
   OCTOPUS_RETURN_NOT_OK(SendAll(request));
-  FrameType type;
   Buffer payload;
-  OCTOPUS_RETURN_NOT_OK(ReadFrame(&type, &payload));
-  if (type == FrameType::kError) {
-    server::ErrorFrame error;
-    OCTOPUS_RETURN_NOT_OK(server::ParseError(payload, &error));
-    return StatusFromError(error);
-  }
-  if (type != FrameType::kEpochInfo) {
-    Close();
-    return Status::IOError("expected EPOCH_INFO frame");
-  }
+  OCTOPUS_RETURN_NOT_OK(
+      ReadReply(FrameType::kEpochInfo, "EPOCH_INFO", &payload));
   server::EpochInfoWire info;
   OCTOPUS_RETURN_NOT_OK(server::ParseEpochInfo(payload, &info));
   return info;
@@ -320,18 +309,8 @@ Result<server::ServerStatsWire> RemoteClient::FetchStats() {
   Buffer out;
   server::AppendStatsRequest(&out);
   OCTOPUS_RETURN_NOT_OK(SendAll(out));
-  FrameType type;
   Buffer payload;
-  OCTOPUS_RETURN_NOT_OK(ReadFrame(&type, &payload));
-  if (type == FrameType::kError) {
-    server::ErrorFrame error;
-    OCTOPUS_RETURN_NOT_OK(server::ParseError(payload, &error));
-    return StatusFromError(error);
-  }
-  if (type != FrameType::kStats) {
-    Close();
-    return Status::IOError("expected STATS frame");
-  }
+  OCTOPUS_RETURN_NOT_OK(ReadReply(FrameType::kStats, "STATS", &payload));
   server::ServerStatsWire stats;
   OCTOPUS_RETURN_NOT_OK(server::ParseStats(payload, &stats));
   return stats;
@@ -341,18 +320,9 @@ Result<server::TraceDumpWire> RemoteClient::FetchTraceDump() {
   Buffer out;
   server::AppendTraceDumpRequest(&out);
   OCTOPUS_RETURN_NOT_OK(SendAll(out));
-  FrameType type;
   Buffer payload;
-  OCTOPUS_RETURN_NOT_OK(ReadFrame(&type, &payload));
-  if (type == FrameType::kError) {
-    server::ErrorFrame error;
-    OCTOPUS_RETURN_NOT_OK(server::ParseError(payload, &error));
-    return StatusFromError(error);
-  }
-  if (type != FrameType::kTraceDump) {
-    Close();
-    return Status::IOError("expected TRACE_DUMP frame");
-  }
+  OCTOPUS_RETURN_NOT_OK(
+      ReadReply(FrameType::kTraceDump, "TRACE_DUMP", &payload));
   server::TraceDumpWire dump;
   OCTOPUS_RETURN_NOT_OK(server::ParseTraceDump(payload, &dump));
   return dump;

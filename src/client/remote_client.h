@@ -118,6 +118,12 @@ class RemoteClient {
   /// instant the first response byte arrived (the wait/receive split).
   Status ReadFrame(server::FrameType* type, server::Buffer* payload,
                    int64_t* first_byte_nanos = nullptr);
+  /// Reads one reply that must be an `expected` frame (`name` labels
+  /// the error): an ERROR reply becomes its Status, any other type
+  /// closes the connection and returns IOError.
+  Status ReadReply(server::FrameType expected, const char* name,
+                   server::Buffer* payload,
+                   int64_t* first_byte_nanos = nullptr);
   /// Maps an ERROR frame to a Status (and closes unless it is a
   /// request-scoped overload rejection).
   Status StatusFromError(const server::ErrorFrame& error);

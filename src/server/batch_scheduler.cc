@@ -16,6 +16,11 @@ bool BatchScheduler::Enqueue(PendingRequest request) {
       pending_query_count_ + queries > options_.max_pending_queries) {
     return false;
   }
+  if (request.epoch != 0) {
+    // Historical: runs alone, outside the quorum and the backlog count.
+    historical_.push_back(std::move(request));
+    return true;
+  }
   SessionState& session = sessions_[request.session_id];
   if (!session.in_quorum) {
     session.in_quorum = true;
@@ -53,6 +58,7 @@ int64_t BatchScheduler::WindowClosesNanos() const {
 }
 
 BatchScheduler::Trigger BatchScheduler::DueTrigger(int64_t now_nanos) const {
+  if (!historical_.empty()) return Trigger::kHistorical;
   if (pending_.empty()) return Trigger::kNone;
   if (pending_query_count_ >= options_.max_batch_queries) {
     return Trigger::kSize;
@@ -64,7 +70,7 @@ BatchScheduler::Trigger BatchScheduler::DueTrigger(int64_t now_nanos) const {
 }
 
 int64_t BatchScheduler::NanosUntilDue(int64_t now_nanos) const {
-  if (pending_.empty()) return -1;
+  if (!HasPending()) return -1;
   if (DueTrigger(now_nanos) != Trigger::kNone) return 0;
   return WindowClosesNanos() - now_nanos;
 }
@@ -77,16 +83,23 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
                                   std::vector<CompletedRequest>* completed,
                                   ServerMetrics* metrics,
                                   int64_t dispatch_nanos) {
-  if (pending_.empty()) return;
-  const bool quorum = DueTrigger(dispatch_nanos) == Trigger::kQuorum;
+  // The oldest historical request runs first and alone: a batch reads
+  // one epoch, so it shares its sweep with nobody, and it never waited
+  // on a window, so its queue wait is 0.
+  const bool historical = !historical_.empty();
+  std::deque<PendingRequest>& queue = historical ? historical_ : pending_;
+  if (queue.empty()) return;
+  const bool quorum =
+      !historical && DueTrigger(dispatch_nanos) == Trigger::kQuorum;
 
   // Pack whole requests FIFO until the size cap. Always take at least
   // one, so an oversized request executes alone rather than starving.
   size_t take = 0;
   size_t batch_queries = 0;
-  while (take < pending_.size()) {
-    const size_t next = pending_[take].boxes.size();
-    if (take > 0 && batch_queries + next > options_.max_batch_queries) {
+  while (take < queue.size()) {
+    const size_t next = queue[take].boxes.size();
+    if (take > 0 && (historical ||
+                     batch_queries + next > options_.max_batch_queries)) {
       break;
     }
     batch_queries += next;
@@ -96,17 +109,22 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
   batch_.boxes.clear();
   batch_.boxes.reserve(batch_queries);
   for (size_t i = 0; i < take; ++i) {
-    batch_.boxes.insert(batch_.boxes.end(), pending_[i].boxes.begin(),
-                        pending_[i].boxes.end());
+    batch_.boxes.insert(batch_.boxes.end(), queue[i].boxes.begin(),
+                        queue[i].boxes.end());
   }
 
   PhaseStats batch_stats;
-  backend->Execute(batch_.View(), &batch_results_, &batch_stats);
-
-  metrics->batches_executed += 1;
-  if (quorum) metrics->batches_quorum += 1;
-  metrics->queries_executed += batch_queries;
-  metrics->MergeEngine(batch_stats);
+  const Status status = backend->ExecuteAt(
+      queue.front().epoch, batch_.View(), &batch_results_, &batch_stats);
+  if (status.ok()) {
+    metrics->batches_executed += 1;
+    if (quorum) metrics->batches_quorum += 1;
+    metrics->queries_executed += batch_queries;
+    metrics->MergeEngine(batch_stats);
+  } else {
+    // Only a historical epoch can be gone; the server answers EPOCH_GONE.
+    metrics->queries_rejected += batch_queries;
+  }
 
   const BatchStatsWire wire = BatchStatsWire::FromPhaseStats(
       batch_stats, static_cast<uint32_t>(batch_queries),
@@ -115,21 +133,25 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
   // Demultiplex: each request gets its contiguous slice of the batch.
   size_t offset = 0;
   for (size_t i = 0; i < take; ++i) {
-    PendingRequest& request = pending_[i];
+    PendingRequest& request = queue[i];
     CompletedRequest done;
     done.session_id = request.session_id;
     done.request_id = request.request_id;
     done.arrival_nanos = request.arrival_nanos;
-    done.dispatch_nanos = dispatch_nanos;
+    done.dispatch_nanos = historical ? request.arrival_nanos : dispatch_nanos;
     done.client_span_id = request.client_span_id;
+    done.status = status;
     done.stats = wire;
-    done.per_query.reserve(request.boxes.size());
-    for (size_t q = 0; q < request.boxes.size(); ++q) {
-      done.per_query.push_back(
-          std::move(batch_results_.per_query[offset + q]));
+    if (status.ok()) {
+      done.per_query.reserve(request.boxes.size());
+      for (size_t q = 0; q < request.boxes.size(); ++q) {
+        done.per_query.push_back(
+            std::move(batch_results_.per_query[offset + q]));
+      }
     }
     offset += request.boxes.size();
     completed->push_back(std::move(done));
+    if (historical) continue;
 
     auto session = sessions_.find(request.session_id);
     if (--session->second.pending == 0) {
@@ -141,12 +163,14 @@ void BatchScheduler::ExecuteReady(VersionedBackend* backend,
     }
   }
 
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<ptrdiff_t>(take));
-  pending_query_count_ -= batch_queries;
+  queue.erase(queue.begin(), queue.begin() + static_cast<ptrdiff_t>(take));
+  if (!historical) pending_query_count_ -= batch_queries;
 }
 
 void BatchScheduler::DropSession(uint64_t session_id) {
+  std::erase_if(historical_, [session_id](const PendingRequest& r) {
+    return r.session_id == session_id;
+  });
   auto session = sessions_.find(session_id);
   if (session == sessions_.end()) return;
   if (session->second.in_quorum && session->second.pending == 0) {

@@ -17,6 +17,10 @@
 // or closes. The server tells the scheduler only about membership
 // *changes*; pending counts are tracked here.
 //
+// Historical-epoch requests share the admission bound but not the
+// quorum: a batch reads one epoch, so each runs alone, queued apart and
+// due at once, ahead of any coalesced batch.
+//
 // No threads of its own: the server's scheduler thread drives it under
 // one mutex, asking `NanosUntilDue` to size its condition-variable wait
 // and calling `ExecuteReady` whenever a batch is due. Admission
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "common/aabb.h"
+#include "common/status.h"
 #include "engine/query_batch.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
@@ -66,6 +71,9 @@ struct PendingRequest {
   /// Client-propagated span id (v6); 0 = the client sent none. Carried
   /// through execution into the slow-query log, never interpreted.
   uint64_t client_span_id = 0;
+  /// Epoch the request reads; 0 = current (coalesces with other
+  /// requests), anything else a historical epoch (runs alone).
+  uint64_t epoch = 0;
 };
 
 /// One executed request, ready to encode as a RESULT frame.
@@ -74,9 +82,12 @@ struct CompletedRequest {
   uint64_t request_id = 0;
   int64_t arrival_nanos = 0;
   /// When the batch holding this request started executing — the
-  /// request's queue wait is `dispatch_nanos - arrival_nanos` (0 for
-  /// inline paths that never queued).
+  /// request's queue wait is `dispatch_nanos - arrival_nanos` (0 for a
+  /// historical request, which never waits on a window).
   int64_t dispatch_nanos = 0;
+  /// Non-OK when the request could not execute: its historical epoch is
+  /// gone (answered EPOCH_GONE; `per_query` is then empty).
+  Status status;
   BatchStatsWire stats;  ///< stats of the coalesced batch that served it
   /// The request's slice of the batch results, in request query order.
   std::vector<std::vector<VertexId>> per_query;
@@ -95,11 +106,13 @@ class BatchScheduler {
 
   const SchedulerOptions& options() const { return options_; }
 
-  /// Admission control: accepts the request into the pending queue, or
-  /// returns false (queue full — caller sends OVERLOADED) leaving the
-  /// queue untouched. Zero-query requests are accepted (they complete
-  /// with an empty result at the next execution point). An accepted
-  /// request (re)joins its session to the quorum.
+  /// Admission control: accepts the request, or returns false (queue
+  /// full — caller sends OVERLOADED) leaving the queues untouched.
+  /// Zero-query requests are accepted (they complete with an empty
+  /// result at the next execution point). An accepted current-epoch
+  /// request (re)joins its session to the quorum; a historical one
+  /// (`epoch != 0`) is queued apart and never counted in
+  /// `pending_queries`, but faces the same bound.
   bool Enqueue(PendingRequest request);
 
   /// Adds a session to the quorum (idempotent). A member with nothing
@@ -110,39 +123,44 @@ class BatchScheduler {
   /// the scheduler thread.
   void LeaveQuorum(uint64_t session_id);
 
-  bool HasPending() const { return !pending_.empty(); }
+  bool HasPending() const {
+    return !pending_.empty() || !historical_.empty();
+  }
+  /// Queries in the coalescing backlog (historical requests excluded).
   size_t pending_queries() const { return pending_query_count_; }
 
-  /// Nanoseconds until a batch is due: 0 when one is due now (size
-  /// trigger, complete quorum or expired window), -1 when nothing is
-  /// pending, else the time left in the oldest request's window.
+  /// Nanoseconds until a batch is due: 0 when one is due now (a queued
+  /// historical request, size trigger, complete quorum or expired
+  /// window), -1 when nothing is pending, else the time left in the
+  /// oldest request's window.
   int64_t NanosUntilDue(int64_t now_nanos) const;
 
   /// True when `ExecuteReady` would execute at least one batch now.
   bool ShouldExecute(int64_t now_nanos) const;
 
-  /// Packs pending requests (FIFO, whole requests, up to the size cap)
-  /// into one batch, executes it on `backend` (against the epoch the
-  /// backend pins for the batch — every stamped RESULT of the batch
-  /// carries that one epoch), and appends one `CompletedRequest` per
-  /// packed request to `completed`. Updates `metrics` (batch/query
-  /// counters + engine totals; `batches_quorum` when the quorum was
-  /// complete and the size trigger was not). Call in a loop while
-  /// `ShouldExecute` — one call executes exactly one batch.
+  /// Executes one batch on `backend` and appends one `CompletedRequest`
+  /// per request in it to `completed`. The batch is the oldest
+  /// historical request alone if one is queued, else pending requests
+  /// packed FIFO (whole requests, up to the size cap) against the epoch
+  /// the backend pins for the batch — every stamped RESULT of a batch
+  /// carries that one epoch. Updates `metrics` (batch/query counters +
+  /// engine totals; `batches_quorum` when the quorum was complete and
+  /// the size trigger was not; `queries_rejected` when a historical
+  /// epoch is gone). Call in a loop while `ShouldExecute`.
   /// `dispatch_nanos` (the loop's clock at the call) is stamped onto
-  /// every completed request so the flight recorder can attribute queue
-  /// wait.
+  /// every coalesced request so the flight recorder can attribute
+  /// queue wait.
   void ExecuteReady(VersionedBackend* backend,
                     std::vector<CompletedRequest>* completed,
                     ServerMetrics* metrics, int64_t dispatch_nanos = 0);
 
-  /// Drops every pending request of a disconnected session so its
-  /// queries are not executed for nobody, and removes it from the
-  /// quorum (which may complete it).
+  /// Drops every pending request of a disconnected session, historical
+  /// ones included, so its queries are not executed for nobody, and
+  /// removes it from the quorum (which may complete it).
   void DropSession(uint64_t session_id);
 
  private:
-  enum class Trigger : uint8_t { kNone, kSize, kQuorum, kWindow };
+  enum class Trigger : uint8_t { kNone, kHistorical, kSize, kQuorum, kWindow };
   /// Why a batch is due at `now_nanos`; kNone while none is.
   Trigger DueTrigger(int64_t now_nanos) const;
   /// When the oldest pending request's window closes (saturating).
@@ -156,6 +174,8 @@ class BatchScheduler {
   SchedulerOptions options_;
   std::deque<PendingRequest> pending_;
   size_t pending_query_count_ = 0;
+  /// Historical-epoch requests, FIFO; each executes alone.
+  std::deque<PendingRequest> historical_;
   /// Sessions in the quorum or with requests pending; an entry is
   /// erased once it is neither.
   std::unordered_map<uint64_t, SessionState> sessions_;

@@ -347,6 +347,12 @@ Result<FrameHeader> ParseFrameHeader(std::span<const uint8_t> data) {
   return header;
 }
 
+Status ParseEmpty(std::span<const uint8_t> payload, const char* name) {
+  if (payload.empty()) return Status::OK();
+  return Status::InvalidArgument(std::string(name) +
+                                 " payload must be empty");
+}
+
 Status ParseHello(std::span<const uint8_t> payload, HelloFrame* out) {
   Reader r(payload);
   if (!r.Get(&out->magic) || !r.Get(&out->version) || !r.Get(&out->flags) ||

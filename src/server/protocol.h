@@ -444,6 +444,9 @@ Status ParseEpochInfo(std::span<const uint8_t> payload, EpochInfoWire* out);
 /// frame type in the header distinguishes them).
 Status ParsePinEpoch(std::span<const uint8_t> payload, PinEpochFrame* out);
 Status ParseTraceDump(std::span<const uint8_t> payload, TraceDumpWire* out);
+/// Checks the payload of an empty-payload verb (STATS_REQUEST,
+/// TRACE_DUMP_REQUEST); `name` labels the error.
+Status ParseEmpty(std::span<const uint8_t> payload, const char* name);
 
 }  // namespace octopus::server
 

@@ -515,24 +515,27 @@ void QueryServer::ReadSession(IoThread& io, Session* session) {
     const std::span<const uint8_t> rest(session->in.data() + consumed,
                                         session->in.size() - consumed);
     auto header = ParseFrameHeader(rest);
-    if (!header.ok()) {
+    Status parsed = header.status();
+    if (parsed.ok()) {
+      const size_t frame_bytes =
+          kFrameHeaderBytes + header.Value().payload_bytes;
+      if (rest.size() < frame_bytes) break;  // incomplete frame
+      metrics_.frames_received += 1;
+      parsed = HandleFrame(session, header.Value().type,
+                           rest.subspan(kFrameHeaderBytes,
+                                        header.Value().payload_bytes));
+      consumed += frame_bytes;
+    }
+    if (!parsed.ok()) {
+      // The one exit for a header or payload that failed to parse.
       metrics_.malformed_frames += 1;
-      const ErrorCode code =
-          header.status().code() == Status::Code::kResourceExhausted
-              ? ErrorCode::kFrameTooLarge
-              : ErrorCode::kMalformedFrame;
-      SendError(session, code, 0, header.status().message(),
-                /*close_connection=*/true);
+      SendError(session,
+                parsed.code() == Status::Code::kResourceExhausted
+                    ? ErrorCode::kFrameTooLarge
+                    : ErrorCode::kMalformedFrame,
+                0, parsed.message(), /*close_connection=*/true);
       break;
     }
-    const size_t frame_bytes =
-        kFrameHeaderBytes + header.Value().payload_bytes;
-    if (rest.size() < frame_bytes) break;  // incomplete frame
-    metrics_.frames_received += 1;
-    HandleFrame(session, header.Value().type,
-                rest.subspan(kFrameHeaderBytes,
-                             header.Value().payload_bytes));
-    consumed += frame_bytes;
   }
   if (consumed > 0) {
     session->in.erase(session->in.begin(),
@@ -547,39 +550,34 @@ void QueryServer::ReadSession(IoThread& io, Session* session) {
   }
 }
 
-void QueryServer::HandleFrame(Session* session, FrameType type,
-                              std::span<const uint8_t> payload) {
+Status QueryServer::HandleFrame(Session* session, FrameType type,
+                                std::span<const uint8_t> payload) {
   if (!session->handshaken) {
     if (type != FrameType::kHello) {
       SendError(session, ErrorCode::kUnexpectedFrame, 0,
                 "first frame must be HELLO", true);
-      return;
+      return Status::OK();
     }
     HelloFrame hello;
-    const Status st = ParseHello(payload, &hello);
-    if (!st.ok()) {
-      metrics_.malformed_frames += 1;
-      SendError(session, ErrorCode::kMalformedFrame, 0, st.message(), true);
-      return;
-    }
+    OCTOPUS_RETURN_NOT_OK(ParseHello(payload, &hello));
     if (hello.magic != kProtocolMagic) {
       SendError(session, ErrorCode::kBadMagic, 0,
                 "not an OCTP client", true);
-      return;
+      return Status::OK();
     }
     if (hello.flags != 0) {
       // Reject now so the reserved field stays usable for future
       // capability negotiation.
       SendError(session, ErrorCode::kMalformedFrame, 0,
                 "HELLO reserved flags must be zero", true);
-      return;
+      return Status::OK();
     }
     if (hello.version != kProtocolVersion) {
       SendError(session, ErrorCode::kVersionMismatch, 0,
                 "server speaks protocol version " +
                     std::to_string(kProtocolVersion),
                 true);
-      return;
+      return Status::OK();
     }
     WelcomeFrame welcome;
     welcome.paged = backend_->paged() ? 1 : 0;
@@ -605,32 +603,27 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
     AppendWelcome(&frame.bytes, welcome);
     session->Push(std::move(frame));
     session->handshaken = true;
-    return;
+    return Status::OK();
   }
 
   // Anything but a query batch marks a control session (a stepper, a
-  // stats poller): batches stop waiting for it. A historical batch
-  // leaves inside its admission block below.
+  // stats poller): batches stop waiting for it.
   if (type != FrameType::kQueryBatch) LeaveQuorum(session);
 
   switch (type) {
     case FrameType::kQueryBatch: {
       PendingRequest request;
       request.session_id = session->id;
-      uint64_t epoch = 0;
-      const Status st =
+      OCTOPUS_RETURN_NOT_OK(
           ParseQueryBatch(payload, &request.request_id, &request.boxes,
-                          &epoch, &request.client_span_id);
-      if (!st.ok()) {
-        metrics_.malformed_frames += 1;
-        SendError(session, ErrorCode::kMalformedFrame, 0, st.message(),
-                  true);
-        return;
-      }
+                          &request.epoch, &request.client_span_id));
       metrics_.queries_received += request.boxes.size();
       request.arrival_nanos = NowNanos();
       const size_t num_queries = request.boxes.size();
       const uint64_t request_id = request.request_id;
+      const bool historical = request.epoch != 0;
+      // A historical reader never joins a coalesced batch.
+      if (historical) LeaveQuorum(session);
 
       // Admission happens under the scheduler lock — which the
       // scheduler thread holds for the whole of a batch execution, so
@@ -644,54 +637,27 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
         kShuttingDown,
       };
       Verdict verdict;
-      bool left_quorum = false;
       {
         common::MutexLock lock(sched_mu_);
-        if (epoch != 0 && session->in_quorum) {
-          // A historical reader never joins a coalesced batch.
-          scheduler_.LeaveQuorum(session->id);
-          session->in_quorum = false;
-          left_quorum = true;
-        }
         if (sched_closed_) {
           // The scheduler already drained and exited; nothing would
           // ever execute this request.
           verdict = Verdict::kShuttingDown;
-        } else if (epoch != 0) {
-          // Historical epoch: kept out of the coalescing queue — a
-          // batch is epoch-consistent, so queries against different
-          // epochs can never share a sweep. Pinned repeatable reads
-          // are a control-plane workload; the latency-sensitive hot
-          // path (epoch 0 = current) still coalesces. Not unbounded,
-          // though: the scheduler's exact admission rule applies —
-          // counting the live backlog, with the empty-queue exemption
-          // — so stamping an epoch on a request is not a way around
-          // OVERLOADED backpressure.
-          if (scheduler_.HasPending() &&
-              scheduler_.pending_queries() + num_queries >
-                  scheduler_.options().max_pending_queries) {
-            verdict = Verdict::kOverloaded;
-          } else {
-            immediate_.push_back({std::move(request), epoch});
-            session->inflight += 1;
-            verdict = Verdict::kAdmitted;
-          }
-        } else if (request.boxes.empty()) {
+        } else if (!historical && request.boxes.empty()) {
           verdict = Verdict::kEmptyInline;
         } else if (scheduler_.Enqueue(std::move(request))) {
           session->inflight += 1;
-          session->in_quorum = true;  // Enqueue (re)joined it
+          // Enqueue (re)joined a current-epoch reader to the quorum.
+          if (!historical) session->in_quorum = true;
           verdict = Verdict::kAdmitted;
         } else {
           verdict = Verdict::kOverloaded;
         }
       }
-      if (verdict == Verdict::kAdmitted || left_quorum) {
-        sched_cv_.NotifyOne();
-      }
       switch (verdict) {
         case Verdict::kAdmitted:
-          return;
+          sched_cv_.NotifyOne();
+          break;
         case Verdict::kEmptyInline: {
           // Nothing to coalesce: answer an empty batch immediately —
           // still epoch-stamped (every RESULT carries the epoch, even
@@ -703,7 +669,7 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
           session->Push(std::move(frame));
           metrics_.results_sent += 1;
           metrics_.request_latency.Record(0);
-          return;
+          break;
         }
         case Verdict::kOverloaded: {
           metrics_.queries_rejected += num_queries;
@@ -717,23 +683,18 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
                             options_.scheduler.max_pending_queries) +
                         " reached; retry later",
                     /*close_connection=*/false);
-          return;
+          break;
         }
         case Verdict::kShuttingDown:
           SendError(session, ErrorCode::kShuttingDown, request_id,
                     "server is shutting down",
                     /*close_connection=*/false);
-          return;
+          break;
       }
-      return;
+      return Status::OK();
     }
     case FrameType::kStatsRequest: {
-      if (!payload.empty()) {
-        metrics_.malformed_frames += 1;
-        SendError(session, ErrorCode::kMalformedFrame, 0,
-                  "STATS_REQUEST payload must be empty", true);
-        return;
-      }
+      OCTOPUS_RETURN_NOT_OK(ParseEmpty(payload, "STATS_REQUEST"));
       ServerStatsWire wire = metrics_.ToWire();
       // Steps may be applied by a stepper thread, bypassing the
       // counters here; the backend's epoch is the authoritative count.
@@ -741,23 +702,17 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
       OutFrame frame;
       AppendStats(&frame.bytes, wire);
       session->Push(std::move(frame));
-      return;
+      return Status::OK();
     }
     case FrameType::kStep: {
       StepFrame step;
-      const Status st = ParseStep(payload, &step);
-      if (!st.ok()) {
-        metrics_.malformed_frames += 1;
-        SendError(session, ErrorCode::kMalformedFrame, 0, st.message(),
-                  true);
-        return;
-      }
+      OCTOPUS_RETURN_NOT_OK(ParseStep(payload, &step));
       if (step.steps > 0 && !backend_->dynamic()) {
         SendError(session, ErrorCode::kUnexpectedFrame, 0,
                   "STEP with steps > 0 requires a bound deformer "
                   "(serve --deform)",
                   true);
-        return;
+        return Status::OK();
       }
       // Applied inline on the I/O thread: a control-plane verb, cheap
       // relative to the batches it interleaves with (steps normally
@@ -768,25 +723,19 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
       // STEP must not eat into its own idle budget.
       session->last_activity_nanos = NowNanos();
       AppendCurrentEpochInfo(session, backend_->CurrentEpoch());
-      return;
+      return Status::OK();
     }
     case FrameType::kPinEpoch:
     case FrameType::kUnpinEpoch: {
       PinEpochFrame pin;
-      const Status st = ParsePinEpoch(payload, &pin);
-      if (!st.ok()) {
-        metrics_.malformed_frames += 1;
-        SendError(session, ErrorCode::kMalformedFrame, 0, st.message(),
-                  true);
-        return;
-      }
+      OCTOPUS_RETURN_NOT_OK(ParsePinEpoch(payload, &pin));
       if (type == FrameType::kPinEpoch) {
         auto pinned = backend_->PinEpoch(pin.epoch);
         if (!pinned.ok()) {
           SendError(session, ErrorCode::kEpochGone, 0,
                     pinned.status().message(),
                     /*close_connection=*/false);
-          return;
+          return Status::OK();
         }
         const uint32_t count =
             (session->pinned_epochs[pinned.Value().epoch] += 1);
@@ -794,7 +743,7 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
         Journal(obs::EventKind::kEpochPinned, pinned.Value().epoch,
                 session->id, count);
         AppendCurrentEpochInfo(session, pinned.Value());
-        return;
+        return Status::OK();
       }
       // UNPIN: only pins this session actually holds may be released —
       // one session must not be able to strip another's exemptions.
@@ -804,7 +753,7 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
                   "epoch " + std::to_string(pin.epoch) +
                       " is not pinned by this session",
                   /*close_connection=*/false);
-        return;
+        return Status::OK();
       }
       const Status unpinned = backend_->UnpinEpoch(pin.epoch);
       const uint32_t left = --it->second;
@@ -814,20 +763,15 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
       if (!unpinned.ok()) {
         SendError(session, ErrorCode::kEpochGone, 0,
                   unpinned.message(), /*close_connection=*/false);
-        return;
+        return Status::OK();
       }
       // Answered with the *current* epoch (the released one may have
       // been evicted by the release itself).
       AppendCurrentEpochInfo(session, backend_->CurrentEpoch());
-      return;
+      return Status::OK();
     }
     case FrameType::kTraceDumpRequest: {
-      if (!payload.empty()) {
-        metrics_.malformed_frames += 1;
-        SendError(session, ErrorCode::kMalformedFrame, 0,
-                  "TRACE_DUMP_REQUEST payload must be empty", true);
-        return;
-      }
+      OCTOPUS_RETURN_NOT_OK(ParseEmpty(payload, "TRACE_DUMP_REQUEST"));
       TraceDumpWire dump;
       dump.total_recorded = recorder_.total_recorded();
       recorder_.Snapshot(&dump.records);
@@ -844,12 +788,12 @@ void QueryServer::HandleFrame(Session* session, FrameType type,
       OutFrame frame;
       AppendTraceDump(&frame.bytes, dump);
       session->Push(std::move(frame));
-      return;
+      return Status::OK();
     }
     default:
       SendError(session, ErrorCode::kUnexpectedFrame, 0,
                 "frame type not valid from a client in this state", true);
-      return;
+      return Status::OK();
   }
 }
 
@@ -979,11 +923,6 @@ void QueryServer::CloseSession(IoThread& io, uint64_t session_id) {
   {
     common::MutexLock lock(sched_mu_);
     scheduler_.DropSession(session_id);
-    // Historical requests still waiting their turn die with the
-    // session too — they would execute for nobody.
-    std::erase_if(immediate_, [session_id](const ImmediateRequest& r) {
-      return r.request.session_id == session_id;
-    });
   }
   // Leaving the quorum may complete it for the sessions still queued.
   if (it->second->in_quorum) sched_cv_.NotifyOne();
@@ -1067,23 +1006,15 @@ void QueryServer::SchedulerLoop() {
   common::MutexLock lock(sched_mu_);
   std::vector<CompletedRequest> completed;
   for (;;) {
-    // Historical requests first: they were admitted against the same
-    // backlog bound and bypass the window, exactly like the old loop's
-    // inline execution.
-    if (!immediate_.empty()) {
-      ImmediateRequest req = std::move(immediate_.front());
-      immediate_.pop_front();
-      ExecuteImmediate(std::move(req));
-      continue;
-    }
     const int64_t now = NowNanos();
     if (scheduler_.HasPending() &&
         (drain_requested_ || scheduler_.ShouldExecute(now))) {
-      // Coalescing point. The lock is held across execution on
-      // purpose: admission blocks while a batch runs (the old loop's
-      // behavior), so the backlog cannot grow past its window
-      // mid-batch. During a drain the window is ignored — accepted
-      // requests get answers even across a shutdown.
+      // Coalescing point (a queued historical request runs first, on
+      // its own). The lock is held across execution on purpose:
+      // admission blocks while a batch runs (the old loop's behavior),
+      // so the backlog cannot grow past its window mid-batch. During a
+      // drain the window is ignored — accepted requests get answers
+      // even across a shutdown.
       completed.clear();
       scheduler_.ExecuteReady(backend_.get(), &completed, &metrics_,
                               NowNanos());
@@ -1118,44 +1049,6 @@ void QueryServer::SchedulerLoop() {
   }
 }
 
-void QueryServer::ExecuteImmediate(ImmediateRequest req) {
-  engine::QueryBatchResult results;
-  PhaseStats stats;
-  const Status st = backend_->ExecuteAt(req.epoch, req.request.boxes,
-                                        &results, &stats);
-  if (!st.ok()) {
-    metrics_.queries_rejected += req.request.boxes.size();
-    SerTask task;
-    task.kind = SerTask::Kind::kError;
-    task.session_id = req.request.session_id;
-    task.request_id = req.request.request_id;
-    task.code = ErrorCode::kEpochGone;
-    task.message = st.message();
-    EnqueueSerTask(std::move(task));
-    return;
-  }
-  metrics_.batches_executed += 1;
-  metrics_.queries_executed += req.request.boxes.size();
-  metrics_.MergeEngine(stats);
-  // Package as a completed request and reuse the one delivery tail
-  // (frame-cap handling, counters, latency, activity refresh).
-  CompletedRequest done;
-  done.session_id = req.request.session_id;
-  done.request_id = req.request.request_id;
-  done.arrival_nanos = req.request.arrival_nanos;
-  done.client_span_id = req.request.client_span_id;
-  // Never sat in the coalescing queue, so queue wait is by definition 0.
-  done.dispatch_nanos = req.request.arrival_nanos;
-  done.stats = BatchStatsWire::FromPhaseStats(
-      stats, static_cast<uint32_t>(req.request.boxes.size()), 1,
-      results.epoch);
-  done.per_query = std::move(results.per_query);
-  SerTask task;
-  task.kind = SerTask::Kind::kResult;
-  task.done = std::move(done);
-  EnqueueSerTask(std::move(task));
-}
-
 void QueryServer::EnqueueSerTask(SerTask task) {
   {
     common::MutexLock lock(ser_mu_);
@@ -1178,9 +1071,6 @@ void QueryServer::SerializerLoop() {
     switch (task.kind) {
       case SerTask::Kind::kResult:
         DeliverCompleted(std::move(task.done));
-        break;
-      case SerTask::Kind::kError:
-        DeliverError(task);
         break;
       case SerTask::Kind::kDrain: {
         // FIFO all the way down: every frame enqueued before this
@@ -1205,6 +1095,16 @@ void QueryServer::DeliverCompleted(CompletedRequest done) {
     common::MutexLock lock(owner_mu_);
     if (owner_.find(done.session_id) == owner_.end()) return;
   }
+  OutFrame frame;
+  if (!done.status.ok()) {
+    // Its historical epoch is gone. Nothing executed, so there is no
+    // latency sample and no trace record to take.
+    AppendError(&frame.bytes, {ErrorCode::kEpochGone, done.request_id,
+                               done.status.message()});
+    metrics_.errors_sent += 1;
+    DispatchOutbound(done.session_id, std::move(frame), true);
+    return;
+  }
   const int64_t done_at = NowNanos();
   // The trace id this delivery WILL record under (0 = tracing off),
   // reserved up front so the RESULT frame can carry it while the
@@ -1217,7 +1117,6 @@ void QueryServer::DeliverCompleted(CompletedRequest done) {
   uint64_t vertices = 0;
   for (const auto& q : done.per_query) vertices += q.size();
 
-  OutFrame frame;
   int64_t serialize_nanos = 0;
   if (ResultPayloadBytes(done.per_query) > kMaxFramePayloadBytes) {
     // The result set cannot travel in one frame: answer with a typed,
@@ -1309,21 +1208,6 @@ void QueryServer::DeliverCompleted(CompletedRequest done) {
     }
   }
   DispatchOutbound(done.session_id, std::move(frame), true);
-}
-
-void QueryServer::DeliverError(const SerTask& task) {
-  {
-    common::MutexLock lock(owner_mu_);
-    if (owner_.find(task.session_id) == owner_.end()) return;
-  }
-  ErrorFrame error;
-  error.code = task.code;
-  error.request_id = task.request_id;
-  error.message = task.message;
-  OutFrame frame;
-  AppendError(&frame.bytes, error);
-  metrics_.errors_sent += 1;
-  DispatchOutbound(task.session_id, std::move(frame), true);
 }
 
 void QueryServer::DispatchOutbound(uint64_t session_id, OutFrame frame,

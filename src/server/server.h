@@ -14,7 +14,8 @@
 //   scheduler thread coalesces queries across connections (the
 //                    `BatchScheduler`: a batch runs once every query
 //                    session has a request queued, at the latest when
-//                    the window closes) and runs engine batches;
+//                    the window closes; a historical-epoch request
+//                    runs alone, first) and runs engine batches;
 //                    query-execution parallelism lives inside the
 //                    backend's `QueryEngine` thread pool.
 //   serializer thread encodes RESULT/ERROR frames off the I/O threads
@@ -170,23 +171,11 @@ class QueryServer {
  private:
   struct Session;
   struct IoThread;
-  /// A historical-epoch request awaiting the scheduler thread. Kept
-  /// out of the coalescing queue (a batch is epoch-consistent; only
-  /// same-epoch queries could share a sweep) but executed on the same
-  /// thread, since the backend's execute path is single-threaded.
-  struct ImmediateRequest {
-    PendingRequest request;
-    uint64_t epoch = 0;
-  };
   /// One unit of serialization work.
   struct SerTask {
-    enum class Kind : uint8_t { kResult, kError, kDrain };
+    enum class Kind : uint8_t { kResult, kDrain };
     Kind kind = Kind::kResult;
-    CompletedRequest done;                  // kResult
-    uint64_t session_id = 0;                // kError
-    uint64_t request_id = 0;                // kError
-    ErrorCode code = ErrorCode::kInternal;  // kError
-    std::string message;                    // kError
+    CompletedRequest done;  // kResult
   };
 
   int64_t NowNanos() const;
@@ -201,8 +190,11 @@ class QueryServer {
   void IoLoop(size_t index);
   void ProcessInbox(IoThread& io, bool* draining);
   void ReadSession(IoThread& io, Session* session);
-  void HandleFrame(Session* session, FrameType type,
-                   std::span<const uint8_t> payload);
+  /// Answers one frame. Returns the error of a payload that failed to
+  /// parse — the caller answers MALFORMED_FRAME and closes — and OK for
+  /// every other outcome, which is answered here.
+  Status HandleFrame(Session* session, FrameType type,
+                     std::span<const uint8_t> payload);
   void SendError(Session* session, ErrorCode code, uint64_t request_id,
                  const std::string& message, bool close_connection);
   /// Takes `session` out of the scheduler's quorum if it is in it (a
@@ -225,15 +217,13 @@ class QueryServer {
 
   // --- scheduler / serializer threads ---
   void SchedulerLoop();
-  /// Scheduler: runs one historical request (the backend execute path
-  /// is single-threaded, so `sched_mu_` stays held across execution).
-  void ExecuteImmediate(ImmediateRequest req) REQUIRES(sched_mu_);
   void SerializerLoop();
-  /// Serializer: encodes one completed request (RESULT, or a
-  /// request-scoped error past the frame cap), updates latency/trace
-  /// accounting, dispatches to the owning I/O thread.
+  /// Serializer: encodes one completed request (RESULT; EPOCH_GONE for
+  /// a gone historical epoch; a request-scoped error past the frame
+  /// cap), updates latency/trace accounting for executed requests,
+  /// dispatches to the owning I/O thread. The one path from execution
+  /// to frame.
   void DeliverCompleted(CompletedRequest done);
-  void DeliverError(const SerTask& task);
   void DispatchOutbound(uint64_t session_id, OutFrame frame,
                         bool completes_request);
   void EnqueueSerTask(SerTask task) EXCLUDES(ser_mu_);
@@ -283,7 +273,6 @@ class QueryServer {
 
   common::Mutex sched_mu_;
   common::CondVar sched_cv_;
-  std::deque<ImmediateRequest> immediate_ GUARDED_BY(sched_mu_);
   bool drain_requested_ GUARDED_BY(sched_mu_) = false;
   /// Set by the scheduler thread once it has drained and exited; from
   /// then on admission answers SHUTTING_DOWN instead of enqueueing

@@ -1074,6 +1074,88 @@ TEST(BatchSchedulerTest, HugeWindowSaturatesInsteadOfOverflowing) {
   EXPECT_FALSE(scheduler.ShouldExecute(kMax - 1));
 }
 
+/// A `queries`-box request of `session` reading `epoch` (0 = current).
+server::PendingRequest EpochRequest(uint64_t session, size_t queries,
+                                         uint64_t epoch,
+                                         int64_t arrival_nanos) {
+  server::PendingRequest r = QuorumRequest(session, arrival_nanos);
+  r.boxes.resize(queries, r.boxes[0]);
+  r.epoch = epoch;
+  return r;
+}
+
+TEST(BatchSchedulerTest, HistoricalRequestSharesTheBoundNotTheBacklog) {
+  server::SchedulerOptions options = QuorumOptions();
+  options.max_pending_queries = 10;
+  server::BatchScheduler scheduler(options);
+
+  // An empty queue admits it even above the bound, and it is due at
+  // once without being counted in the coalescing backlog.
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(1, 25, 1, 100)));
+  EXPECT_EQ(scheduler.pending_queries(), 0u);
+  EXPECT_TRUE(scheduler.HasPending());
+  EXPECT_EQ(scheduler.NanosUntilDue(100), 0);
+  // It dies with its session.
+  scheduler.DropSession(1);
+  EXPECT_FALSE(scheduler.HasPending());
+  EXPECT_EQ(scheduler.NanosUntilDue(100), -1);
+
+  // Behind a backlog the bound applies: stamping an epoch is no way
+  // around OVERLOADED.
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(2, 6, 0, 100)));
+  EXPECT_FALSE(scheduler.Enqueue(EpochRequest(3, 5, 1, 100)));
+  EXPECT_TRUE(scheduler.Enqueue(EpochRequest(3, 4, 1, 100)));
+  EXPECT_EQ(scheduler.pending_queries(), 6u);
+}
+
+TEST(BatchSchedulerTest, HistoricalRequestRunsFirstAndAlone) {
+  auto backend = VersionedBackend::FromMesh(MakeBox(4), 1);
+  DeformerSpec spec;
+  spec.kind = DeformerKind::kRandom;
+  spec.amplitude = 0.02f;
+  spec.seed = 2026;
+  ASSERT_TRUE(backend->BindDeformer(spec).ok());
+  backend->AdvanceStep();
+  backend->AdvanceStep();  // current is epoch 3; epoch 1 is retained
+  server::BatchScheduler scheduler(QuorumOptions());
+  server::ServerMetrics metrics;
+  scheduler.JoinQuorum(1);
+  scheduler.JoinQuorum(2);  // never sends: the coalesced batch waits
+
+  ASSERT_TRUE(scheduler.Enqueue(QuorumRequest(1, 100)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(3, 2, 1, 150)));
+  ASSERT_TRUE(scheduler.Enqueue(EpochRequest(4, 3, 999, 160)));
+  EXPECT_EQ(scheduler.NanosUntilDue(170), 0);
+
+  std::vector<server::CompletedRequest> completed;
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics, 170);
+  ASSERT_EQ(completed.size(), 1u);
+  const server::CompletedRequest& done = completed[0];
+  EXPECT_TRUE(done.status.ok()) << done.status.message();
+  EXPECT_EQ(done.session_id, 3u);
+  EXPECT_EQ(done.dispatch_nanos, done.arrival_nanos);  // no queue wait
+  EXPECT_EQ(done.stats.epoch.epoch, 1u);
+  EXPECT_EQ(done.stats.batch_requests, 1u);
+  EXPECT_EQ(done.stats.batch_queries, 2u);
+  EXPECT_EQ(done.per_query.size(), 2u);
+  EXPECT_EQ(metrics.batches_executed, 1u);
+  EXPECT_EQ(metrics.queries_executed, 2u);
+
+  // An unknown epoch completes non-OK, its queries counted rejected.
+  completed.clear();
+  scheduler.ExecuteReady(backend.get(), &completed, &metrics, 180);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_FALSE(completed[0].status.ok());
+  EXPECT_EQ(completed[0].session_id, 4u);
+  EXPECT_TRUE(completed[0].per_query.empty());
+  EXPECT_EQ(metrics.queries_rejected, 3u);
+  EXPECT_EQ(metrics.batches_executed, 1u);
+
+  // The coalesced request still waits for the silent quorum member.
+  EXPECT_FALSE(scheduler.ShouldExecute(181));
+  EXPECT_EQ(scheduler.pending_queries(), 1u);
+}
+
 // --- Observability: /metrics endpoint and flight-recorder dumps ---
 
 /// One blocking HTTP/1.0 GET against the server's metrics port;
@@ -1199,6 +1281,31 @@ TEST(ServerIntegrationTest, MetricsEndpointMatchesOctpStats) {
   ASSERT_TRUE(final_stats.ok()) << final_stats.status().ToString();
   EXPECT_EQ(final_stats.Value().queries_received,
             wire.queries_received + 2);
+}
+
+// A historical request whose epoch is gone leaves as ERROR(EPOCH_GONE)
+// through the one delivery tail: counted as rejected queries and as an
+// error sent, but never as a latency sample or a trace record, since
+// nothing executed.
+TEST(ServerIntegrationTest, EpochGoneIsCountedButNotTimedOrTraced) {
+  ServerFixture fixture(VersionedBackend::FromMesh(MakeBox(4), 1));
+  auto remote = MustConnect(fixture.port());
+  const std::vector<AABB> boxes(3, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+  auto gone = remote->ExecuteBatch(boxes, /*epoch=*/5);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.status().code(), Status::Code::kNotFound);
+  const server::ServerMetrics& metrics = fixture.server().metrics();
+  EXPECT_EQ(metrics.queries_rejected, 3u);
+  EXPECT_EQ(metrics.errors_sent, 1u);
+  EXPECT_EQ(metrics.batches_executed, 0u);
+  EXPECT_EQ(metrics.request_latency.count(), 0u);
+  EXPECT_EQ(fixture.server().recorder().total_recorded(), 0u);
+
+  // The connection survives; a current-epoch request is timed and traced.
+  auto served = remote->ExecuteBatch(boxes);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(metrics.request_latency.count(), 1u);
+  EXPECT_EQ(fixture.server().recorder().total_recorded(), 1u);
 }
 
 // TRACE_DUMP end to end: executed requests must appear in the ring
